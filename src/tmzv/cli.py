@@ -61,6 +61,13 @@ def _parse_t(text: str) -> Fraction:
         raise UsageError(f"malformed t value {text!r}") from exc
 
 
+def _parse_t_float(text: str) -> float:
+    try:
+        return float(_parse_t(text))
+    except OverflowError as exc:
+        raise UsageError(f"t value {text!r} out of float range") from exc
+
+
 def _parse_params(text: str) -> dict[str, int]:
     out: dict[str, int] = {}
     for piece in text.split(","):
@@ -135,7 +142,7 @@ def _cmd_zeta(args: argparse.Namespace, star: bool) -> int:
 
 def _cmd_zeta_t(args: argparse.Namespace) -> int:
     idx = _parse_index(args.index)
-    t0 = float(_parse_t(args.t))
+    t0 = _parse_t_float(args.t)
     cfg = EvalConfig(args.cutoff, t0)
     try:
         if args.method == "st":
@@ -153,38 +160,53 @@ def _cmd_zeta_t(args: argparse.Namespace) -> int:
     return 0
 
 
+_NEEDED_PARAMS = {
+    "recursive": ("m", "u", "p", "n", "v"),
+    "closed-form": ("m", "u", "p", "n", "v"),
+    "power-product": ("m", "n", "p"),
+    "head-tail": ("head", "p", "k", "m"),
+    "factorial": ("k",),
+    "gaussian": ("l",),
+    "decomposition": ("m", "u", "p", "n", "v"),
+}
+
+
 def _single_check(args: argparse.Namespace) -> VerifyReport:
     params = _parse_params(args.params) if args.params else {}
     name = args.statement
-    if name == "recursive":
-        return check_recursive(params["m"], params["u"], params["p"], params["n"], params["v"])
-    if name == "closed-form":
-        return check_closed_form(params["m"], params["u"], params["p"], params["n"], params["v"])
-    if name == "power-product":
-        return check_power_product(params["m"], params["n"], params["p"])
-    if name == "head-tail":
-        return check_head_tail(params["head"], params["p"], params["k"], params["m"])
-    if name == "factorial":
-        return factorial_identity_check(params["k"])
-    if name == "gaussian":
-        return gaussian_identity_check(params["l"])
-    if name == "decomposition":
-        return decomposition_numeric_check(
-            params["m"],
-            params["u"],
-            params["p"],
-            params["n"],
-            params["v"],
-            float(_parse_t(args.t)) if args.t is not None else 0.0,
-            args.cutoff or 100_000,
+    if name in ("pivot", "combinatorial", "t0-reduction"):
+        if args.left is None or args.right is None:
+            raise UsageError(f"verify {name} needs both --left and --right indices")
+        left, right = _parse_index(args.left), _parse_index(args.right)
+        if name == "pivot":
+            return check_pivot(left, right, params.get("j", 1))
+        if name == "combinatorial":
+            return check_combinatorial(left, right)
+        return check_t0_reduction(left, right)
+    if name not in _NEEDED_PARAMS:
+        raise UsageError(f"statement {name!r} does not support single-instance parameters")
+    needed = _NEEDED_PARAMS[name]
+    missing = [key for key in needed if key not in params]
+    if missing:
+        raise UsageError(
+            f"verify {name} is missing parameters {', '.join(missing)} "
+            f"(needs {', '.join(needed)})"
         )
-    if name == "pivot":
-        return check_pivot(_parse_index(args.left), _parse_index(args.right), params.get("j", 1))
-    if name == "combinatorial":
-        return check_combinatorial(_parse_index(args.left), _parse_index(args.right))
-    if name == "t0-reduction":
-        return check_t0_reduction(_parse_index(args.left), _parse_index(args.right))
-    raise UsageError(f"statement {name!r} does not support single-instance parameters")
+    values = [params[key] for key in needed]
+    if name == "recursive":
+        return check_recursive(*values)
+    if name == "closed-form":
+        return check_closed_form(*values)
+    if name == "power-product":
+        return check_power_product(*values)
+    if name == "head-tail":
+        return check_head_tail(*values)
+    if name == "factorial":
+        return factorial_identity_check(*values)
+    if name == "gaussian":
+        return gaussian_identity_check(*values)
+    t0 = _parse_t_float(args.t) if args.t is not None else 0.0
+    return decomposition_numeric_check(*values, t0, args.cutoff or 100_000)
 
 
 def _emit_reports(grouped: dict[str, list[VerifyReport]], as_json: bool) -> int:

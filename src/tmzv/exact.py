@@ -4,6 +4,14 @@ Rationals are plain :class:`fractions.Fraction` values (arbitrary precision,
 stored normalized with positive denominator), re-exported as ``Rational``.
 ``TPoly`` is a dense polynomial in the interpolation variable t with rational
 coefficients, the coefficient ring for everything the word algebra does.
+Its coefficients have one normal form: an integral value is a plain ``int``
+and only a value with denominator above 1 is a ``Fraction``. Every product
+and right-hand side the word algebra builds lies in Z[t], so the kernel runs
+on ``int`` arithmetic, which is several times cheaper than ``Fraction``; a
+``Fraction`` appears only where a rational point or a rational constant
+brings in a denominator. Both types have ``numerator``/``denominator`` and
+compare and hash alike across the two forms (``2 == Fraction(2)``), so
+serialization and equality do not depend on the form a caller passed in.
 ``GaussianRational`` adjoins the imaginary unit for the one identity that
 needs powers of sqrt(-1).
 
@@ -69,21 +77,32 @@ def binom(a: int, b: int) -> Fraction:
     return Fraction(math.comb(a, b))
 
 
+def _canon(c: Fraction | int) -> Fraction | int:
+    """The normal form of a coefficient: ``int`` when integral, else ``Fraction``."""
+    if type(c) is int:
+        return c
+    q = c if isinstance(c, Fraction) else Fraction(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 class TPoly:
     """Dense univariate polynomial in t over the rationals.
 
     ``coeffs[d]`` is the coefficient of t^d; trailing zeros are stripped, so
     the zero polynomial stores an empty tuple and ``degree`` is
-    ``len(coeffs) - 1`` for everything else.
+    ``len(coeffs) - 1`` for everything else. Each coefficient is stored in
+    normal form, a plain ``int`` when integral and a ``Fraction`` with
+    denominator above 1 otherwise, whatever the caller passed in. Values are
+    immutable, so an operation may return one of its operands unchanged.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _canon(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Fraction | int, ...] = tuple(cs)
 
     @classmethod
     def const(cls, c: Fraction | int) -> "TPoly":
@@ -122,12 +141,19 @@ class TPoly:
 
     def __mul__(self, other: "TPoly | Fraction | int") -> "TPoly":
         if isinstance(other, (Fraction, int)):
+            other = _canon(other)
+            if other == 1:
+                return self
             return TPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, TPoly):
             return NotImplemented
+        if self.coeffs == _UNIT:
+            return other
+        if other.coeffs == _UNIT:
+            return self
         if self.is_zero or other.is_zero:
             return POLY_ZERO
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -153,12 +179,13 @@ class TPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def eval(self, t0: Fraction) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        acc = _ZERO
+    def eval(self, t0: Fraction) -> Fraction | int:
+        """Exact Horner evaluation at a rational point, in normal form."""
+        t0 = _canon(t0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * t0 + c
-        return acc
+        return _canon(acc)
 
     def eval_float(self, t0: float) -> float:
         acc = 0.0
@@ -197,10 +224,11 @@ class TPoly:
         return f"TPoly({self.coeffs!r})"
 
 
-def _fmt_coeff(q: Fraction) -> str:
+def _fmt_coeff(q: Fraction | int) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+_UNIT = (1,)
 POLY_ZERO = TPoly()
 POLY_ONE = TPoly.const(1)
 POLY_T = TPoly((0, 1))

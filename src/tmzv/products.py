@@ -120,8 +120,9 @@ def _bilinear(core, a: str | Element, b: str | Element) -> Element:
     for w1, c1 in ea.items():
         for w2, c2 in eb.items():
             scale = c1 * c2
+            unit = scale == POLY_ONE  # true for every word input
             for w, c in core(w1, w2).items():
-                _iadd(out, w, c * scale)
+                _iadd(out, w, c if unit else c * scale)
     return Element._unsafe(out)
 
 

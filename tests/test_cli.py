@@ -155,6 +155,28 @@ class TestScalarIdentityCommands:
         assert all(report["passed"] for report in json.loads(out))
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["zeta-t", "--index", "2,1", "--t", "1e400"], "out of float range"),
+            (
+                ["verify", "decomposition", "--params", "m=2,u=2,p=1,n=1,v=0", "--t", "1e400"],
+                "out of float range",
+            ),
+            (["verify", "recursive", "--params", "m=2"], "recursive is missing parameters u, p, n, v"),
+            (["verify", "pivot", "--params", "m=2"], "--left and --right"),
+        ],
+    )
+    def test_exit_2_with_one_line(self, capsys, argv, needle):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert needle in err
+        assert "Traceback" not in err
+
+
 class TestParsing:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "zeta", "--index", "2", "--bogus")

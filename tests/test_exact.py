@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tmzv.exact import (
@@ -28,6 +28,11 @@ rationals = st.fractions(min_value=-100, max_value=100, max_denominator=100)
 small_polys = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=5
 ).map(TPoly)
+# coefficients as callers pass them: ints, integral Fractions, proper Fractions
+mixed_coeffs = st.lists(
+    st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=4)),
+    max_size=5,
+)
 
 
 class TestRationals:
@@ -154,6 +159,85 @@ class TestTPoly:
     def test_eval_is_ring_homomorphism(self, p, q, t0):
         assert (p * q).eval(t0) == p.eval(t0) * q.eval(t0)
         assert (p + q).eval(t0) == p.eval(t0) + q.eval(t0)
+
+
+def _normal(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def _ref(coeffs):
+    # Fraction-only reference: trailing zeros stripped, nothing normalized
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref([(a[d] if d < len(a) else 0) + (b[d] if d < len(b) else 0) for d in range(n)])
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def _check(poly, ref):
+    assert all(_normal(c) for c in poly.coeffs)
+    assert list(poly.coeffs) == ref
+
+
+class TestNormalForm:
+    @given(mixed_coeffs, mixed_coeffs, rationals, st.integers(0, 3))
+    def test_operations_keep_normal_form(self, ca, cb, q, n):
+        a, b = TPoly(ca), TPoly(cb)
+        ra, rb = _ref(ca), _ref(cb)
+        _check(a, ra)
+        _check(a + b, _ref_add(ra, rb))
+        _check(a - b, _ref_add(ra, [-c for c in rb]))
+        _check(-a, [-c for c in ra])
+        _check(a * b, _ref_mul(ra, rb))
+        _check(a * q, _ref([c * q for c in ra]))
+        _check(q * a, _ref([c * q for c in ra]))
+        _check(a * 3, _ref([c * 3 for c in ra]))
+        want = [Fraction(1)]
+        for _ in range(n):
+            want = _ref_mul(want, ra)
+        _check(a**n, want)
+        _check(TPoly.from_json(a.to_json()), ra)
+
+    @given(mixed_coeffs, rationals)
+    def test_eval_in_normal_form(self, cs, t0):
+        value = TPoly(cs).eval(t0)
+        ref = Fraction(0)
+        for c in reversed(_ref(cs)):
+            ref = ref * t0 + c
+        assert _normal(value)
+        assert value == ref
+
+    def test_integral_fraction_is_stored_as_int(self):
+        p = TPoly((Fraction(2), Fraction(-4, 2), Fraction(1, 3)))
+        assert [type(c) for c in p.coeffs] == [int, int, Fraction]
+        assert TPoly((Fraction(2),)) == TPoly((2,))
+        assert hash(TPoly((Fraction(2),))) == hash(TPoly((2,)))
+        assert type((TPoly((Fraction(1, 2),)) * 2).coeffs[0]) is int
+
+    def test_json_keeps_denominator(self):
+        assert TPoly((Fraction(2), -3)).to_json() == ["2/1", "-3/1"]
+        assert TPoly.from_json(["4/2", "1/2"]).coeffs == (2, Fraction(1, 2))
+
+    @given(mixed_coeffs)
+    def test_unit_multiply_returns_operand(self, cs):
+        p = TPoly(cs)
+        assume(p != POLY_ONE)  # one * one returns either operand
+        assert POLY_ONE * p is p
+        assert p * POLY_ONE is p
+        assert p * 1 is p
+        assert Fraction(1) * p is p
 
 
 class TestGaussianRational:

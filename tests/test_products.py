@@ -1,12 +1,13 @@
 """Unit tests for the deformed, open, classical, and combinatorial products."""
 
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from tmzv.errors import NotInH1Error
-from tmzv.exact import ONE_MINUS_2T, T2_MINUS_T, TPoly
+from tmzv.exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
 from tmzv.products import (
     stuffle_classical,
     stuffle_combinatorial,
@@ -61,6 +62,40 @@ class TestStuffleT:
         assert stuffle_t(scaled, "xxy") == stuffle_t("xy", "xxy").scale(ONE_MINUS_2T)
         two_terms = Element.from_word("xy") + Element.from_word("y")
         assert stuffle_t(two_terms, "y") == stuffle_t("xy", "y") + stuffle_t("y", "y")
+
+
+UNIT_PATH_PAIRS = [((2,), (3,)), ((2, 1), (3, 1, 1)), ((1, 2), (2, 2)), ((), (2, 1))]
+UNIT_PATH_SCALES = [ONE_MINUS_2T, TPoly((Fraction(1, 2), 0, 3)), TPoly((-1,))]
+
+
+def _json_bytes(elem):
+    return json.dumps(elem.to_json_obj(), sort_keys=True)
+
+
+@pytest.mark.parametrize("op", [stuffle_t, stuffle_o])
+class TestUnitScalePath:
+    def test_words_match_unit_elements(self, op):
+        for idx1, idx2 in UNIT_PATH_PAIRS:
+            w1, w2 = word_of_index(idx1), word_of_index(idx2)
+            plain = op(w1, w2)
+            unit = op(Element.from_word(w1, Fraction(1)), Element.from_word(w2, Fraction(1)))
+            assert plain == unit
+            assert _json_bytes(plain) == _json_bytes(unit)
+
+    def test_scaled_inputs_are_bilinear(self, op):
+        for idx1, idx2 in UNIT_PATH_PAIRS:
+            w1, w2 = word_of_index(idx1), word_of_index(idx2)
+            for c1 in UNIT_PATH_SCALES:
+                for c2 in (POLY_ONE, c1):
+                    got = op(Element.from_word(w1, c1), Element.from_word(w2, c2))
+                    want = op(w1, w2).scale(c1 * c2)
+                    assert got == want
+                    assert _json_bytes(got) == _json_bytes(want)
+
+    def test_unit_and_scaled_terms_in_one_input(self, op):
+        mixed = Element.from_word("xy") + Element.from_word("y", ONE_MINUS_2T)
+        want = op("xy", "xxy") + op("y", "xxy").scale(ONE_MINUS_2T)
+        assert op(mixed, "xxy") == want
 
 
 class TestStuffleOpen:
