@@ -15,25 +15,13 @@ from .exact import (
     factorial,
     format_rational,
     parse_rational,
-    rat_add,
-    rat_div,
-    rat_mul,
-    rat_neg,
 )
 from .identities import (
     VerifyReport,
     alternating_numeric_check,
-    alternating_sum_check,
     alternating_sum_lhs,
     alternating_sum_rhs,
     alternating_t_special_check,
-    check_closed_form,
-    check_combinatorial,
-    check_head_tail,
-    check_pivot,
-    check_power_product,
-    check_recursive,
-    check_t0_reduction,
     closed_form_rhs,
     decomposition_numeric_check,
     factorial_identity_check,
@@ -51,7 +39,7 @@ from .products import (
     stuffle_o,
     stuffle_t,
 )
-from .sweeps import SWEEPS, run_all, run_statement, sweep_properties
+from .sweeps import STATEMENTS, Statement, run_statement
 from .words import (
     Element,
     delta,

@@ -14,21 +14,9 @@ import time
 from fractions import Fraction
 
 from .errors import BadParamsError, DivergentError, NotInH0Error, NotInH1Error
-from .identities import (
-    VerifyReport,
-    check_closed_form,
-    check_combinatorial,
-    check_head_tail,
-    check_pivot,
-    check_power_product,
-    check_recursive,
-    check_t0_reduction,
-    decomposition_numeric_check,
-    factorial_identity_check,
-    gaussian_identity_check,
-)
+from .identities import VerifyReport
 from .interpolation import s_t
-from .sweeps import SWEEPS, run_statement
+from .sweeps import STATEMENTS, run_statement
 from .words import Element, validate_word, word_of_index
 from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
@@ -160,77 +148,42 @@ def _cmd_zeta_t(args: argparse.Namespace) -> int:
     return 0
 
 
-_NEEDED_PARAMS = {
-    "recursive": ("m", "u", "p", "n", "v"),
-    "closed-form": ("m", "u", "p", "n", "v"),
-    "power-product": ("m", "n", "p"),
-    "head-tail": ("head", "p", "k", "m"),
-    "factorial": ("k",),
-    "gaussian": ("l",),
-    "decomposition": ("m", "u", "p", "n", "v"),
-}
-
-
 def _single_check(args: argparse.Namespace) -> VerifyReport:
     params = _parse_params(args.params) if args.params else {}
     name = args.statement
-    if name in ("pivot", "combinatorial", "t0-reduction"):
+    statement = STATEMENTS.get(name)
+    if statement is None or not statement.needs:
+        raise UsageError(f"statement {name!r} does not support single-instance parameters")
+    if "left" in statement.needs:
         if args.left is None or args.right is None:
             raise UsageError(f"verify {name} needs both --left and --right indices")
-        left, right = _parse_index(args.left), _parse_index(args.right)
-        if name == "pivot":
-            return check_pivot(left, right, params.get("j", 1))
-        if name == "combinatorial":
-            return check_combinatorial(left, right)
-        return check_t0_reduction(left, right)
-    if name not in _NEEDED_PARAMS:
-        raise UsageError(f"statement {name!r} does not support single-instance parameters")
-    needed = _NEEDED_PARAMS[name]
-    missing = [key for key in needed if key not in params]
+        params.update(left=list(_parse_index(args.left)), right=list(_parse_index(args.right)))
+    missing = [key for key in statement.needs if key not in params]
     if missing:
         raise UsageError(
             f"verify {name} is missing parameters {', '.join(missing)} "
-            f"(needs {', '.join(needed)})"
+            f"(needs {', '.join(statement.needs)})"
         )
-    values = [params[key] for key in needed]
-    if name == "recursive":
-        return check_recursive(*values)
-    if name == "closed-form":
-        return check_closed_form(*values)
-    if name == "power-product":
-        return check_power_product(*values)
-    if name == "head-tail":
-        return check_head_tail(*values)
-    if name == "factorial":
-        return factorial_identity_check(*values)
-    if name == "gaussian":
-        return gaussian_identity_check(*values)
-    t0 = _parse_t_float(args.t) if args.t is not None else 0.0
-    return decomposition_numeric_check(*values, t0, args.cutoff or 100_000)
+    values = {key: params[key] for key in statement.needs}
+    for key, default in statement.optional.items():
+        values[key] = params.get(key, default)
+    # a numeric check takes its t0 and cutoff from --t and --cutoff, not --params
+    if "t0" in values:
+        values["t0"] = statement.optional["t0"] if args.t is None else _parse_t_float(args.t)
+    if "cutoff" in values:
+        values["cutoff"] = args.cutoff or statement.optional["cutoff"]
+    return statement.check(**values)
 
 
-def _emit_reports(grouped: dict[str, list[VerifyReport]], as_json: bool) -> int:
-    all_reports = [report for reports in grouped.values() for report in reports]
-    failures = [report for report in all_reports if not report.passed]
-    if as_json:
-        print(json.dumps([report.to_json_obj() for report in all_reports], sort_keys=True))
-    else:
-        for name, reports in grouped.items():
-            passed = sum(report.passed for report in reports)
-            print(f"{name}: {passed}/{len(reports)} pass")
-        if failures:
-            first = failures[0]
-            print(f"FIRST FAILURE {first.statement} {first.params}:")
-            print(json.dumps(first.witness, sort_keys=True))
-    return 1 if failures else 0
+def _print_reports(reports: list[VerifyReport]) -> None:
+    print(json.dumps([report.to_json_obj() for report in reports], sort_keys=True))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    single = args.params is not None or args.left is not None
-    if single:
+    if args.params is not None or args.left is not None:
         report = _single_check(args)
         if args.json:
-            print(json.dumps([report.to_json_obj()], sort_keys=True))
+            _print_reports([report])
         else:
             verdict = "pass" if report.passed else "FAIL"
             print(f"{report.statement} {report.params}: {verdict}")
@@ -239,63 +192,56 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     if args.statement == "all":
-        names = list(SWEEPS)
-    elif args.statement in SWEEPS:
+        names = list(STATEMENTS)
+    elif args.statement in STATEMENTS:
         names = [args.statement]
     else:
         raise UsageError(
-            f"unknown statement {args.statement!r}; choose from: all, " + ", ".join(SWEEPS)
+            f"unknown statement {args.statement!r}; choose from: all, " + ", ".join(STATEMENTS)
         )
-    grouped: dict[str, list[VerifyReport]] = {}
+    reports: list[VerifyReport] = []
     for name in names:
         started = time.perf_counter()
-        grouped[name] = run_statement(
-            name,
-            max_size=args.max,
-            cutoff=args.cutoff,
-            seed=args.seed,
-            cases=args.cases,
+        batch = run_statement(
+            name, max_size=args.max, cutoff=args.cutoff, seed=args.seed, cases=args.cases
         )
+        reports += batch
         if not args.json:
             elapsed = time.perf_counter() - started
-            passed = sum(report.passed for report in grouped[name])
-            print(f"[{elapsed:7.2f}s] {name}: {passed}/{len(grouped[name])} pass")
+            passed = sum(report.passed for report in batch)
+            print(f"[{elapsed:7.2f}s] {name}: {passed}/{len(batch)} pass")
+    failures = [report for report in reports if not report.passed]
     if args.json:
-        return _emit_reports(grouped, as_json=True)
-    failures = [report for reports in grouped.values() for report in reports if not report.passed]
-    if failures:
+        _print_reports(reports)
+    elif failures:
         first = failures[0]
         print(f"FIRST FAILURE {first.statement} {first.params}:")
         print(json.dumps(first.witness, sort_keys=True))
-        return 1
-    return 0
+    return 1 if failures else 0
+
+
+def _scalar_reports(reports: list[VerifyReport], as_json: bool, line: str) -> int:
+    """Print the reports of ``eq31``/``zeta8`` as JSON, or one ``line`` each
+    filled in from the verdict, params and witness."""
+    if as_json:
+        _print_reports(reports)
+    else:
+        for report in reports:
+            verdict = "pass" if report.passed else "FAIL"
+            print(line.format(verdict=verdict, **report.params, **report.witness))
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _cmd_eq31(args: argparse.Namespace) -> int:
-    reports = [factorial_identity_check(k) for k in range(2, args.max + 1, 2)]
-    if args.json:
-        print(json.dumps([report.to_json_obj() for report in reports], sort_keys=True))
-    else:
-        for report in reports:
-            verdict = "pass" if report.passed else "FAIL"
-            lhs = report.witness["lhs"]
-            rhs = report.witness["rhs"]
-            print(f"k={report.params['k']}: {verdict} (lhs={lhs}, rhs={rhs})")
-    return 0 if all(report.passed for report in reports) else 1
+    check = STATEMENTS["factorial"].check
+    reports = [check(k=k) for k in range(2, args.max + 1, 2)]
+    return _scalar_reports(reports, args.json, "k={k}: {verdict} (lhs={lhs}, rhs={rhs})")
 
 
 def _cmd_zeta8(args: argparse.Namespace) -> int:
-    reports = [gaussian_identity_check(l) for l in range(1, args.max + 1)]
-    if args.json:
-        print(json.dumps([report.to_json_obj() for report in reports], sort_keys=True))
-    else:
-        for report in reports:
-            verdict = "pass" if report.passed else "FAIL"
-            print(
-                f"l={report.params['l']}: {verdict} (re={report.witness['lhs_re']}, "
-                f"im={report.witness['lhs_im']})"
-            )
-    return 0 if all(report.passed for report in reports) else 1
+    check = STATEMENTS["gaussian"].check
+    reports = [check(l=l) for l in range(1, args.max + 1)]
+    return _scalar_reports(reports, args.json, "l={l}: {verdict} (re={lhs_re}, im={lhs_im})")
 
 
 def _build_parser() -> argparse.ArgumentParser:

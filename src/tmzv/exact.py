@@ -32,24 +32,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def rat_add(a: Fraction, b: Fraction) -> Fraction:
-    return a + b
-
-
-def rat_mul(a: Fraction, b: Fraction) -> Fraction:
-    return a * b
-
-
-def rat_neg(a: Fraction) -> Fraction:
-    return -a
-
-
-def rat_div(a: Fraction, b: Fraction) -> Fraction:
-    if b == 0:
-        raise ZeroDivisionError("division of rationals by zero")
-    return a / b
-
-
 def format_rational(q: Fraction) -> str:
     """Serialize as "num/den", denominator always present."""
     return f"{q.numerator}/{q.denominator}"

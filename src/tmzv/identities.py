@@ -1,10 +1,12 @@
 """Builders and checkers for the product identities the package verifies.
 
 Each ``*_rhs`` function constructs, term by term, the right-hand side of one
-stated identity for the deformed stuffle product; the matching ``check_*``
-wrapper compares it structurally against the product engine and returns a
-:class:`VerifyReport`. Exact checks compare Elements; numeric checks route
-both sides through the truncated evaluator at the same cutoff.
+stated identity for the deformed stuffle product; the statement registry in
+:mod:`tmzv.sweeps` compares it against the product engine with
+:func:`element_comparison`. The scalar and numeric ``*_check`` functions
+build their :class:`VerifyReport` here. Exact checks compare Elements;
+numeric checks route both sides through the truncated evaluator at the same
+cutoff.
 
 Compositions appearing in the closed forms are ordered sequences of positive
 multiples of p with prescribed total weight and, where stated, a prescribed
@@ -30,7 +32,7 @@ from .exact import (
     binom,
     factorial,
 )
-from .products import stuffle_classical, stuffle_combinatorial, stuffle_o, stuffle_t
+from .products import stuffle_o, stuffle_t
 from .words import Element, _iadd, word_of_index, z_word
 from .zeta import EvalConfig, mzv, z_t_eval
 
@@ -285,8 +287,9 @@ def pivot_rhs(idx1: Iterable[int], idx2: Iterable[int], j: int) -> Element:
                 bracket.append(("x" * (kj + li), T2_MINUS_T))
             for ow, oc in merged.items():
                 for bword, bcoeff in bracket:
+                    head, scale = ow + bword, oc * bcoeff
                     for tw, tc in tail.items():
-                        _iadd(out, ow + bword + tw, oc * bcoeff * tc)
+                        _iadd(out, head + tw, scale * tc)
     return Element._unsafe(out)
 
 
@@ -320,12 +323,6 @@ def alternating_sum_rhs(p: int, k: int) -> Element:
             word = word_of_index(2 * s * p for s in comp)
             _iadd(out, word, scale)
     return Element._unsafe(out)
-
-
-def alternating_sum_check(p: int, k: int) -> VerifyReport:
-    return element_comparison(
-        "alternating", {"p": p, "k": k}, alternating_sum_lhs(p, k), alternating_sum_rhs(p, k)
-    )
 
 
 def alternating_t_special_check(p: int, k: int) -> VerifyReport:
@@ -438,68 +435,4 @@ def decomposition_numeric_check(
         {"m": m, "u": u, "p": p, "n": n, "v": v, "t0": t0, "cutoff": cutoff},
         values,
         tol,
-    )
-
-
-def check_power_product(m: int, n: int, p: int) -> VerifyReport:
-    lhs = stuffle_t(word_of_index((p,) * m), word_of_index((p,) * n))
-    return element_comparison(
-        "power-product", {"m": m, "n": n, "p": p}, lhs, power_product_rhs(m, n, p)
-    )
-
-
-def check_closed_form(m: int, u: int, p: int, n: int, v: int) -> VerifyReport:
-    lhs = stuffle_t(word_of_index((m,) + (p,) * n), word_of_index((u,) + (p,) * v))
-    return element_comparison(
-        "closed-form",
-        {"m": m, "u": u, "p": p, "n": n, "v": v},
-        lhs,
-        closed_form_rhs(m, u, p, n, v),
-    )
-
-
-def check_recursive(m: int, u: int, p: int, n: int, v: int) -> VerifyReport:
-    lhs = stuffle_t(word_of_index((m,) + (p,) * n), word_of_index((u,) + (p,) * v))
-    return element_comparison(
-        "recursive",
-        {"m": m, "u": u, "p": p, "n": n, "v": v},
-        lhs,
-        recursive_rhs(m, u, p, n, v),
-    )
-
-
-def check_head_tail(head: int, p: int, k: int, m: int) -> VerifyReport:
-    lhs = stuffle_t(word_of_index((head,) + (p,) * k), word_of_index((p,) * m))
-    return element_comparison(
-        "head-tail", {"head": head, "p": p, "k": k, "m": m}, lhs, head_tail_rhs(head, p, k, m)
-    )
-
-
-def check_pivot(idx1: tuple[int, ...], idx2: tuple[int, ...], j: int) -> VerifyReport:
-    lhs = stuffle_t(word_of_index(idx1), word_of_index(idx2))
-    return element_comparison(
-        "pivot",
-        {"left": list(idx1), "right": list(idx2), "j": j},
-        lhs,
-        pivot_rhs(idx1, idx2, j),
-    )
-
-
-def check_combinatorial(idx1: tuple[int, ...], idx2: tuple[int, ...]) -> VerifyReport:
-    lhs = stuffle_t(word_of_index(idx1), word_of_index(idx2))
-    return element_comparison(
-        "combinatorial",
-        {"left": list(idx1), "right": list(idx2)},
-        lhs,
-        stuffle_combinatorial(idx1, idx2),
-    )
-
-
-def check_t0_reduction(idx1: tuple[int, ...], idx2: tuple[int, ...]) -> VerifyReport:
-    lhs = stuffle_t(word_of_index(idx1), word_of_index(idx2)).eval_at(Fraction(0))
-    return element_comparison(
-        "t0-reduction",
-        {"left": list(idx1), "right": list(idx2)},
-        lhs,
-        stuffle_classical(idx1, idx2),
     )

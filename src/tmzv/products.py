@@ -9,14 +9,14 @@ as unit and the recursion
 
 The guard on the x-run term prevents a dangling run at the end of a word;
 the open variant keeps that term unconditionally, so its results may end in
-x. At t = 0 the product reduces to the classical quasi-shuffle (stuffle) of
-multiple zeta values, implemented here independently on index tuples so it
-can serve as an oracle. ``stuffle_combinatorial`` builds the same product by
-direct enumeration of merge patterns, without recursion.
+x. Both products are commutative. At t = 0 the product reduces to the
+classical quasi-shuffle (stuffle) of multiple zeta values, implemented here
+independently on index tuples so it can serve as an oracle.
+``stuffle_combinatorial`` builds the same product by direct enumeration of
+merge patterns, without recursion.
 
-Word-pair results are memoized. The caches only ever hold immutable values,
-so concurrent reads and inserts are safe under the GIL; at worst two threads
-briefly recompute the same entry.
+Word-pair results are memoized, one table per product, each keyed by the
+unordered pair.
 """
 
 from __future__ import annotations
@@ -51,65 +51,38 @@ def _head_tail(word: str) -> tuple[int, str]:
     return pos + 1, word[pos + 1 :]
 
 
-def _stuffle_t_words(w1: str, w2: str) -> Element:
+def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
     if not w1:
         return Element.from_word(w2)
     if not w2:
         return Element.from_word(w1)
-    key = (w1, w2) if w1 <= w2 else (w2, w1)  # the product is symmetric
-    hit = _CACHE_T.get(key)
+    cache = _CACHE_O if open_ else _CACHE_T
+    key = (w1, w2) if w1 <= w2 else (w2, w1)  # both products are symmetric
+    hit = cache.get(key)
     if hit is not None:
         return hit
     k, t1 = _head_tail(w1)
     l, t2 = _head_tail(w2)
     out: dict[str, TPoly] = {}
     zk, zl = z_word(k), z_word(l)
-    for w, c in _stuffle_t_words(t1, w2).items():
+    for w, c in _stuffle_t_words(t1, w2, open_).items():
         _iadd(out, zk + w, c)
-    for w, c in _stuffle_t_words(w1, t2).items():
+    for w, c in _stuffle_t_words(w1, t2, open_).items():
         _iadd(out, zl + w, c)
-    rest = _stuffle_t_words(t1, t2)
+    rest = _stuffle_t_words(t1, t2, open_)
     zkl = z_word(k + l)
     for w, c in rest.items():
         _iadd(out, zkl + w, c * ONE_MINUS_2T)
-    if t1 or t2:
+    if open_ or t1 or t2:
         xrun = "x" * (k + l)
         for w, c in rest.items():
             _iadd(out, xrun + w, c * T2_MINUS_T)
     result = Element._unsafe(out)
-    _CACHE_T[key] = result
+    cache[key] = result
     return result
 
 
-def _stuffle_o_words(w1: str, w2: str) -> Element:
-    if not w1:
-        return Element.from_word(w2)
-    if not w2:
-        return Element.from_word(w1)
-    key = (w1, w2)
-    hit = _CACHE_O.get(key)
-    if hit is not None:
-        return hit
-    k, t1 = _head_tail(w1)
-    l, t2 = _head_tail(w2)
-    out: dict[str, TPoly] = {}
-    zk, zl = z_word(k), z_word(l)
-    for w, c in _stuffle_o_words(t1, w2).items():
-        _iadd(out, zk + w, c)
-    for w, c in _stuffle_o_words(w1, t2).items():
-        _iadd(out, zl + w, c)
-    rest = _stuffle_o_words(t1, t2)
-    zkl = z_word(k + l)
-    xrun = "x" * (k + l)
-    for w, c in rest.items():
-        _iadd(out, zkl + w, c * ONE_MINUS_2T)
-        _iadd(out, xrun + w, c * T2_MINUS_T)
-    result = Element._unsafe(out)
-    _CACHE_O[key] = result
-    return result
-
-
-def _bilinear(core, a: str | Element, b: str | Element) -> Element:
+def _bilinear(a: str | Element, b: str | Element, open_: bool = False) -> Element:
     ea = Element.from_word(a) if isinstance(a, str) else a
     eb = Element.from_word(b) if isinstance(b, str) else b
     for word, _ in ea.items():
@@ -121,20 +94,20 @@ def _bilinear(core, a: str | Element, b: str | Element) -> Element:
         for w2, c2 in eb.items():
             scale = c1 * c2
             unit = scale == POLY_ONE  # true for every word input
-            for w, c in core(w1, w2).items():
+            for w, c in _stuffle_t_words(w1, w2, open_).items():
                 _iadd(out, w, c if unit else c * scale)
     return Element._unsafe(out)
 
 
 def stuffle_t(a: str | Element, b: str | Element) -> Element:
     """t-stuffle product of two y-ended words, extended bilinearly to Elements."""
-    return _bilinear(_stuffle_t_words, a, b)
+    return _bilinear(a, b)
 
 
 def stuffle_o(a: str | Element, b: str | Element) -> Element:
     """Open variant: the x-run merge term is never suppressed, so output words
     may end in x."""
-    return _bilinear(_stuffle_o_words, a, b)
+    return _bilinear(a, b, open_=True)
 
 
 def _check_index(parts: Iterable[int]) -> tuple[int, ...]:

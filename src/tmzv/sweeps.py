@@ -1,61 +1,77 @@
-"""Named verification sweeps over parameter ranges, plus randomized property
-suites.
+"""The verified statements, each defined once in :data:`STATEMENTS`.
 
-Every sweep returns a list of :class:`VerifyReport` in a fixed parameter
-order. ``max_size`` is the single size knob: at its default of 3 each sweep
-covers its full shipped range. Sweeps are embarrassingly parallel; set the
-``TMZV_THREADS`` environment variable above 1 to fan checks out over worker
-threads (ordering is still fixed by parameter order, not completion order).
+An entry holds the statement's check, the parameter grid of its sweep and
+the parameters a single-instance ``verify`` takes. :func:`run_statement`
+runs the check at every grid point, in a fixed parameter order. ``max_size``
+is the single size knob of the exact sweeps: at its default of 3 each sweep
+covers its full shipped range.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .exact import TPoly
 from .identities import (
     VerifyReport,
     alternating_numeric_check,
-    alternating_sum_check,
+    alternating_sum_lhs,
+    alternating_sum_rhs,
     alternating_t_special_check,
-    check_closed_form,
-    check_combinatorial,
-    check_head_tail,
-    check_pivot,
-    check_power_product,
-    check_recursive,
-    check_t0_reduction,
+    closed_form_rhs,
     decomposition_numeric_check,
+    element_comparison,
     factorial_identity_check,
     gaussian_identity_check,
+    head_tail_rhs,
+    numeric_comparison,
+    pivot_rhs,
+    power_product_rhs,
+    recursive_rhs,
 )
 from .interpolation import s_t
-from .products import stuffle_combinatorial, stuffle_o, stuffle_t
+from .products import stuffle_classical, stuffle_combinatorial, stuffle_o, stuffle_t
 from .words import Element, index_of_word, is_admissible, weight, word_of_index
 from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
 
-def thread_count() -> int:
-    raw = os.environ.get("TMZV_THREADS", "").strip()
-    if not raw:
-        return 1
-    return max(1, int(raw))
+@dataclass(frozen=True)
+class SweepArgs:
+    """The sweep knobs of ``tmzv verify``; each grid reads those it needs."""
+
+    max_size: int = 3
+    cutoff: int | None = None
+    seed: int = 0
+    cases: int = 1000
+
+    def cutoff_or(self, default: int) -> int:
+        return default if self.cutoff is None else self.cutoff
 
 
-def _run(jobs: Iterable[Callable[[], VerifyReport]]) -> list[VerifyReport]:
-    jobs = list(jobs)
-    threads = thread_count()
-    if threads <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: job(), jobs))
+@dataclass(frozen=True)
+class Statement:
+    """One verified statement.
+
+    ``check(**params)`` checks one instance and ``grid(args)`` lists the
+    params of each sweep instance in order. ``needs`` names the params a
+    single-instance ``verify`` must get (empty for a sweep-only statement)
+    and ``optional`` the defaults of those it may leave out.
+    """
+
+    check: Callable[..., VerifyReport]
+    grid: Callable[[SweepArgs], list[dict]]
+    needs: tuple[str, ...] = ()
+    optional: Mapping[str, object] = field(default_factory=dict)
+
+
+def _grid(**ranges: Iterable) -> list[dict]:
+    """Every combination of the ranges, the last one varying fastest."""
+    return [dict(zip(ranges, values)) for values in iproduct(*ranges.values())]
 
 
 def indices_up_to(max_depth: int, max_part: int, include_empty: bool = False) -> Iterator[tuple[int, ...]]:
@@ -65,117 +81,6 @@ def indices_up_to(max_depth: int, max_part: int, include_empty: bool = False) ->
         yield ()
     for depth in range(1, max_depth + 1):
         yield from iproduct(range(1, max_part + 1), repeat=depth)
-
-
-def sweep_recursive(max_size: int = 3) -> list[VerifyReport]:
-    rng = range(1, max_size + 1)
-    tails = range(0, max_size + 1)
-    return _run(
-        (lambda m=m, u=u, p=p, n=n, v=v: check_recursive(m, u, p, n, v))
-        for m, u, p, n, v in iproduct(rng, rng, rng, tails, tails)
-    )
-
-
-def sweep_closed_form(max_size: int = 3) -> list[VerifyReport]:
-    heads = range(2, max(2, max_size) + 1)
-    ps = range(1, max(1, max_size - 1) + 1)
-    tails = range(0, max_size + 1)
-    return _run(
-        (lambda m=m, u=u, p=p, n=n, v=v: check_closed_form(m, u, p, n, v))
-        for m, u, p, n, v in iproduct(heads, heads, ps, tails, tails)
-    )
-
-
-def sweep_power_product(max_size: int = 3) -> list[VerifyReport]:
-    bound = 2 * max_size + 2
-    jobs = []
-    for p in range(1, max_size + 1):
-        for m in range(bound + 1):
-            for n in range(bound - m + 1):
-                jobs.append(lambda m=m, n=n, p=p: check_power_product(m, n, p))
-    return _run(jobs)
-
-
-def sweep_head_tail(max_size: int = 3) -> list[VerifyReport]:
-    return _run(
-        (lambda head=head, p=p, k=k, m=m: check_head_tail(head, p, k, m))
-        for head, p, k, m in iproduct(
-            range(2, max(2, max_size) + 1),
-            range(1, max(1, max_size - 1) + 1),
-            range(0, max(0, max_size - 1) + 1),
-            range(0, max_size + 2),
-        )
-    )
-
-
-def sweep_pivot(max_size: int = 3) -> list[VerifyReport]:
-    pairs = list(indices_up_to(max_size, max_size))
-    jobs = []
-    for idx1 in pairs:
-        for idx2 in pairs:
-            for j in range(1, len(idx1) + 1):
-                jobs.append(lambda a=idx1, b=idx2, j=j: check_pivot(a, b, j))
-    return _run(jobs)
-
-
-def sweep_alternating(max_size: int = 3) -> list[VerifyReport]:
-    jobs = []
-    for p in range(1, max(1, max_size - 1) + 1):
-        for k in range(1, 2 * max_size + 3):
-            jobs.append(lambda p=p, k=k: alternating_sum_check(p, k))
-            if k >= 2 and k % 2 == 0:
-                jobs.append(lambda p=p, k=k: alternating_t_special_check(p, k))
-    return _run(jobs)
-
-
-def sweep_combinatorial(max_size: int = 3) -> list[VerifyReport]:
-    pairs = list(indices_up_to(max_size, max_size, include_empty=True))
-    return _run(
-        (lambda a=a, b=b: check_combinatorial(a, b)) for a in pairs for b in pairs
-    )
-
-
-def sweep_t0_reduction(max_size: int = 3) -> list[VerifyReport]:
-    pairs = list(indices_up_to(max_size, max_size, include_empty=True))
-    return _run(
-        (lambda a=a, b=b: check_t0_reduction(a, b)) for a in pairs for b in pairs
-    )
-
-
-def sweep_zeta_formulas() -> list[VerifyReport]:
-    """Truncated evaluations against the closed pi-power formulas."""
-    from .identities import numeric_comparison
-
-    reports = []
-    for k in (1, 2, 3):
-        cfg = EvalConfig(100_000)
-        started = time.perf_counter()
-        value = mzv((2,) * k, cfg)
-        elapsed = time.perf_counter() - started
-        expected = math.pi ** (2 * k) / math.factorial(2 * k + 1)
-        reports.append(
-            numeric_comparison(
-                "zeta-formulas",
-                {"index": [2] * k, "cutoff": cfg.cutoff, "seconds": round(elapsed, 4)},
-                {"truncated": value, "closed_form": expected},
-                1e-4,
-            )
-        )
-    for k in (1, 2):
-        cfg = EvalConfig(10_000)
-        started = time.perf_counter()
-        value = mzv((4,) * k, cfg)
-        elapsed = time.perf_counter() - started
-        expected = 2 ** (2 * k + 1) * math.pi ** (4 * k) / math.factorial(4 * k + 2)
-        reports.append(
-            numeric_comparison(
-                "zeta-formulas",
-                {"index": [4] * k, "cutoff": cfg.cutoff, "seconds": round(elapsed, 4)},
-                {"truncated": value, "closed_form": expected},
-                1e-8,
-            )
-        )
-    return reports
 
 
 def admissible_indices(max_weight: int, max_depth: int) -> Iterator[tuple[int, ...]]:
@@ -191,55 +96,114 @@ def admissible_indices(max_weight: int, max_depth: int) -> Iterator[tuple[int, .
     yield from extend((), max_weight)
 
 
-def sweep_box_map(cutoff: int = 10_000) -> list[VerifyReport]:
-    """Contraction enumeration against the mapped evaluation at equal cutoff,
-    plus the t = 0 and t = 1 endpoint reductions."""
-    from .identities import numeric_comparison
-
-    reports = []
-    for idx in admissible_indices(8, 4):
-        word = word_of_index(idx)
-        for t0 in (0.0, 0.5, 1.0, -1.0):
-            cfg = EvalConfig(cutoff, t0)
-            values = {"boxes": zeta_t_boxes(idx, cfg), "mapped": z_t_eval(word, cfg)}
-            tol = 1e-10
-            if t0 == 0.0:
-                values["plain"] = mzv(idx, cfg)
-                tol = 1e-12
-            elif t0 == 1.0:
-                values["star"] = mzv_star(idx, cfg)
-                tol = 1e-12
-            reports.append(
-                numeric_comparison(
-                    "box-map", {"index": list(idx), "t0": t0, "cutoff": cutoff}, values, tol
-                )
-            )
-    return reports
+# ---------------------------------------------------------------------------
+# exact product statements: the t-stuffle product of two words against an
+# independently built expansion
 
 
-def sweep_decomposition(cutoff: int = 100_000) -> list[VerifyReport]:
-    return _run(
-        (
-            lambda m=m, u=u, p=p, n=n, v=v, t0=t0: decomposition_numeric_check(
-                m, u, p, n, v, t0, cutoff
-            )
-        )
-        for m, u, p, n, v, t0 in iproduct(
-            (2, 3), (2, 3), (1, 2), (0, 1), (0, 1), (0.0, 0.5, 1.0)
-        )
+def _product(left: Iterable[int], right: Iterable[int]) -> Element:
+    return stuffle_t(word_of_index(left), word_of_index(right))
+
+
+def _heads(m: int, u: int, p: int, n: int, v: int) -> Element:
+    """z_m z_p^n * z_u z_p^v, expanded by both the closed and recursive forms."""
+    return _product((m,) + (p,) * n, (u,) + (p,) * v)
+
+
+def _powers(m: int, n: int, p: int) -> Element:
+    return _product((p,) * m, (p,) * n)
+
+
+def _head_tail(head: int, p: int, k: int, m: int) -> Element:
+    return _product((head,) + (p,) * k, (p,) * m)
+
+
+def _heads_grid(args: SweepArgs, heads: range, ps: range) -> list[dict]:
+    tails = range(args.max_size + 1)
+    return _grid(m=heads, u=heads, p=ps, n=tails, v=tails)
+
+
+def _power_grid(args: SweepArgs) -> list[dict]:
+    bound = 2 * args.max_size + 2
+    return [
+        {"m": m, "n": n, "p": p}
+        for p in range(1, args.max_size + 1)
+        for m in range(bound + 1)
+        for n in range(bound - m + 1)
+    ]
+
+
+def _pivot_grid(args: SweepArgs) -> list[dict]:
+    pairs = [list(idx) for idx in indices_up_to(args.max_size, args.max_size)]
+    return [
+        {"left": left, "right": right, "j": j}
+        for left in pairs
+        for right in pairs
+        for j in range(1, len(left) + 1)
+    ]
+
+
+def _pair_grid(args: SweepArgs) -> list[dict]:
+    pairs = [list(idx) for idx in indices_up_to(args.max_size, args.max_size, include_empty=True)]
+    return _grid(left=pairs, right=pairs)
+
+
+def _alternating(p: int, k: int, at_ends: bool = False) -> VerifyReport:
+    """The signed sum of z_p^a * z_p^(k-a) against its closed form or, with
+    ``at_ends``, against its values at t = 0 and t = 1."""
+    if at_ends:
+        return alternating_t_special_check(p, k)
+    return element_comparison(
+        "alternating", {"p": p, "k": k}, alternating_sum_lhs(p, k), alternating_sum_rhs(p, k)
     )
 
 
-def sweep_alternating_numeric(cutoff: int = 10_000) -> list[VerifyReport]:
-    return [alternating_numeric_check(2, k, cutoff) for k in (2, 4)]
+def _alternating_grid(args: SweepArgs) -> list[dict]:
+    out = []
+    for p in range(1, max(1, args.max_size - 1) + 1):
+        for k in range(1, 2 * args.max_size + 3):
+            out.append({"p": p, "k": k})
+            if k >= 2 and k % 2 == 0:
+                out.append({"p": p, "k": k, "at_ends": True})
+    return out
 
 
-def sweep_factorial(max_k: int = 12) -> list[VerifyReport]:
-    return [factorial_identity_check(k) for k in range(2, max_k + 1, 2)]
+# ---------------------------------------------------------------------------
+# numeric statements
+
+# part -> (cutoff, tolerance, closed pi-power form of zeta({part}^k))
+_ZETA_FORMULAS = {
+    2: (100_000, 1e-4, lambda k: math.pi ** (2 * k) / math.factorial(2 * k + 1)),
+    4: (10_000, 1e-8, lambda k: 2 ** (2 * k + 1) * math.pi ** (4 * k) / math.factorial(4 * k + 2)),
+}
 
 
-def sweep_gaussian(max_l: int = 3) -> list[VerifyReport]:
-    return [gaussian_identity_check(l) for l in range(1, max_l + 1)]
+def _zeta_formula(part: int, k: int) -> VerifyReport:
+    """Truncated zeta({part}^k) against its closed form."""
+    cutoff, tol, closed_form = _ZETA_FORMULAS[part]
+    index = (part,) * k
+    return numeric_comparison(
+        "zeta-formulas",
+        {"index": list(index), "cutoff": cutoff},
+        {"truncated": mzv(index, EvalConfig(cutoff)), "closed_form": closed_form(k)},
+        tol,
+    )
+
+
+def _box_map(index: list[int], t0: float, cutoff: int) -> VerifyReport:
+    """Contraction enumeration against the mapped evaluation at equal cutoff,
+    plus the t = 0 and t = 1 endpoint reductions."""
+    idx = tuple(index)
+    cfg = EvalConfig(cutoff, t0)
+    values = {"boxes": zeta_t_boxes(idx, cfg), "mapped": z_t_eval(word_of_index(idx), cfg)}
+    tol = 1e-10
+    if t0 == 0.0:
+        values["plain"] = mzv(idx, cfg)
+        tol = 1e-12
+    elif t0 == 1.0:
+        values["star"] = mzv_star(idx, cfg)
+        tol = 1e-12
+    return numeric_comparison("box-map", {"index": index, "t0": t0, "cutoff": cutoff}, values, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -338,47 +302,115 @@ def _prop_roundtrip(rng: random.Random) -> dict | None:
     return None
 
 
-def sweep_properties(seed: int = 0, cases: int = 1000) -> list[VerifyReport]:
-    suites = (
-        ("properties:commutativity", _prop_commutativity),
-        ("properties:admissibility", _prop_admissibility),
-        ("properties:weight", _prop_weight),
-        ("properties:maps", _prop_maps),
-        ("properties:roundtrip", _prop_roundtrip),
-    )
+_PROPERTIES = (
+    ("properties:commutativity", _prop_commutativity),
+    ("properties:admissibility", _prop_admissibility),
+    ("properties:weight", _prop_weight),
+    ("properties:maps", _prop_maps),
+    ("properties:roundtrip", _prop_roundtrip),
+)
+
+
+def _properties_grid(args: SweepArgs) -> list[dict]:
     return [
-        _suite(name, seed * 1000 + offset, cases, body)
-        for offset, (name, body) in enumerate(suites)
+        {"statement": name, "seed": args.seed * 1000 + offset, "cases": args.cases, "body": body}
+        for offset, (name, body) in enumerate(_PROPERTIES)
     ]
 
 
-SWEEPS: dict[str, Callable[..., list[VerifyReport]]] = {
-    "recursive": sweep_recursive,
-    "closed-form": sweep_closed_form,
-    "power-product": sweep_power_product,
-    "head-tail": sweep_head_tail,
-    "pivot": sweep_pivot,
-    "alternating": sweep_alternating,
-    "combinatorial": sweep_combinatorial,
-    "t0-reduction": sweep_t0_reduction,
-    "zeta-formulas": sweep_zeta_formulas,
-    "box-map": sweep_box_map,
-    "decomposition": sweep_decomposition,
-    "alternating-numeric": sweep_alternating_numeric,
-    "factorial": sweep_factorial,
-    "gaussian": sweep_gaussian,
-    "properties": sweep_properties,
-}
+# ---------------------------------------------------------------------------
+# the registry
 
-_SIZE_SWEEPS = {
-    "recursive",
-    "closed-form",
-    "power-product",
-    "head-tail",
-    "pivot",
-    "alternating",
-    "combinatorial",
-    "t0-reduction",
+_HEADS = ("m", "u", "p", "n", "v")
+
+STATEMENTS: dict[str, Statement] = {
+    "recursive": Statement(
+        lambda **q: element_comparison("recursive", q, _heads(**q), recursive_rhs(**q)),
+        lambda a: _heads_grid(a, range(1, a.max_size + 1), range(1, a.max_size + 1)),
+        needs=_HEADS,
+    ),
+    "closed-form": Statement(
+        lambda **q: element_comparison("closed-form", q, _heads(**q), closed_form_rhs(**q)),
+        lambda a: _heads_grid(
+            a, range(2, max(2, a.max_size) + 1), range(1, max(1, a.max_size - 1) + 1)
+        ),
+        needs=_HEADS,
+    ),
+    "power-product": Statement(
+        lambda **q: element_comparison("power-product", q, _powers(**q), power_product_rhs(**q)),
+        _power_grid,
+        needs=("m", "n", "p"),
+    ),
+    "head-tail": Statement(
+        lambda **q: element_comparison("head-tail", q, _head_tail(**q), head_tail_rhs(**q)),
+        lambda a: _grid(
+            head=range(2, max(2, a.max_size) + 1),
+            p=range(1, max(1, a.max_size - 1) + 1),
+            k=range(0, max(0, a.max_size - 1) + 1),
+            m=range(0, a.max_size + 2),
+        ),
+        needs=("head", "p", "k", "m"),
+    ),
+    "pivot": Statement(
+        lambda left, right, j: element_comparison(
+            "pivot",
+            {"left": left, "right": right, "j": j},
+            _product(left, right),
+            pivot_rhs(left, right, j),
+        ),
+        _pivot_grid,
+        needs=("left", "right"),
+        optional={"j": 1},
+    ),
+    "alternating": Statement(_alternating, _alternating_grid),
+    "combinatorial": Statement(
+        lambda left, right: element_comparison(
+            "combinatorial",
+            {"left": left, "right": right},
+            _product(left, right),
+            stuffle_combinatorial(left, right),
+        ),
+        _pair_grid,
+        needs=("left", "right"),
+    ),
+    "t0-reduction": Statement(
+        lambda left, right: element_comparison(
+            "t0-reduction",
+            {"left": left, "right": right},
+            _product(left, right).eval_at(Fraction(0)),
+            stuffle_classical(left, right),
+        ),
+        _pair_grid,
+        needs=("left", "right"),
+    ),
+    "zeta-formulas": Statement(
+        _zeta_formula, lambda a: _grid(part=(2,), k=(1, 2, 3)) + _grid(part=(4,), k=(1, 2))
+    ),
+    "box-map": Statement(
+        _box_map,
+        lambda a: _grid(
+            index=[list(idx) for idx in admissible_indices(8, 4)],
+            t0=(0.0, 0.5, 1.0, -1.0),
+            cutoff=(a.cutoff_or(10_000),),
+        ),
+    ),
+    "decomposition": Statement(
+        decomposition_numeric_check,
+        lambda a: _grid(
+            m=(2, 3), u=(2, 3), p=(1, 2), n=(0, 1), v=(0, 1),
+            t0=(0.0, 0.5, 1.0), cutoff=(a.cutoff_or(100_000),),
+        ),
+        needs=_HEADS,
+        optional={"t0": 0.0, "cutoff": 100_000},
+    ),
+    "alternating-numeric": Statement(
+        alternating_numeric_check, lambda a: _grid(p=(2,), k=(2, 4), cutoff=(a.cutoff_or(10_000),))
+    ),
+    "factorial": Statement(
+        factorial_identity_check, lambda a: _grid(k=range(2, 13, 2)), needs=("k",)
+    ),
+    "gaussian": Statement(gaussian_identity_check, lambda a: _grid(l=range(1, 4)), needs=("l",)),
+    "properties": Statement(_suite, _properties_grid),
 }
 
 
@@ -389,15 +421,6 @@ def run_statement(
     seed: int = 0,
     cases: int = 1000,
 ) -> list[VerifyReport]:
-    fn = SWEEPS[name]
-    if name in _SIZE_SWEEPS:
-        return fn(max_size)
-    if name in ("box-map", "decomposition", "alternating-numeric") and cutoff is not None:
-        return fn(cutoff)
-    if name == "properties":
-        return fn(seed=seed, cases=cases)
-    return fn()
-
-
-def run_all(max_size: int = 3, seed: int = 0, cases: int = 1000) -> dict[str, list[VerifyReport]]:
-    return {name: run_statement(name, max_size=max_size, seed=seed, cases=cases) for name in SWEEPS}
+    statement = STATEMENTS[name]
+    args = SweepArgs(max_size, cutoff, seed, cases)
+    return [statement.check(**params) for params in statement.grid(args)]

@@ -18,10 +18,6 @@ from tmzv.exact import (
     factorial,
     format_rational,
     parse_rational,
-    rat_add,
-    rat_div,
-    rat_mul,
-    rat_neg,
 )
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=100)
@@ -36,26 +32,10 @@ mixed_coeffs = st.lists(
 
 
 class TestRationals:
-    def test_add(self):
-        assert rat_add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-
     def test_normalization(self):
         q = Fraction(2, 4)
         assert (q.numerator, q.denominator) == (1, 2)
         assert format_rational(q) == "1/2"
-
-    def test_inverse_pair(self):
-        assert rat_mul(Fraction(-3, 7), Fraction(7, 3)) == Fraction(-1)
-
-    def test_neg(self):
-        assert rat_neg(Fraction(5, 3)) == Fraction(-5, 3)
-
-    def test_div(self):
-        assert rat_div(Fraction(1, 2), Fraction(3, 4)) == Fraction(2, 3)
-
-    def test_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rat_div(Fraction(1), Fraction(0))
 
     def test_format_always_carries_denominator(self):
         assert format_rational(Fraction(3)) == "3/1"

@@ -7,17 +7,9 @@ from tmzv.exact import ONE_MINUS_2T, TPoly
 from tmzv.identities import (
     VerifyReport,
     alternating_numeric_check,
-    alternating_sum_check,
     alternating_sum_lhs,
     alternating_sum_rhs,
     alternating_t_special_check,
-    check_closed_form,
-    check_combinatorial,
-    check_head_tail,
-    check_pivot,
-    check_power_product,
-    check_recursive,
-    check_t0_reduction,
     closed_form_rhs,
     decomposition_numeric_check,
     element_comparison,
@@ -29,6 +21,7 @@ from tmzv.identities import (
     recursive_rhs,
 )
 from tmzv.products import stuffle_t
+from tmzv.sweeps import STATEMENTS
 from tmzv.words import Element, word_of_index
 
 
@@ -67,7 +60,7 @@ class TestPowerProduct:
             assert power_product_rhs(0, n, p) == Element.from_word(word_of_index((p,) * n))
 
     def test_check(self):
-        assert check_power_product(3, 2, 2).passed
+        assert STATEMENTS["power-product"].check(m=3, n=2, p=2).passed
 
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
@@ -82,9 +75,9 @@ class TestClosedForm:
         assert closed_form_rhs(2, 2, 1, 0, 0) == want
 
     def test_oracle_examples(self):
-        assert check_closed_form(2, 2, 1, 1, 0).passed
-        assert check_closed_form(3, 2, 2, 1, 1).passed
-        assert check_closed_form(2, 2, 1, 2, 1).passed
+        assert STATEMENTS["closed-form"].check(m=2, u=2, p=1, n=1, v=0).passed
+        assert STATEMENTS["closed-form"].check(m=3, u=2, p=2, n=1, v=1).passed
+        assert STATEMENTS["closed-form"].check(m=2, u=2, p=1, n=2, v=1).passed
 
     def test_words_stay_y_ended(self):
         for params in ((2, 2, 1, 1, 1), (3, 2, 1, 2, 0), (2, 3, 2, 0, 2)):
@@ -102,8 +95,8 @@ class TestRecursive:
         assert recursive_rhs(1, 1, 1, 0, 0) == want
 
     def test_oracle_examples(self):
-        assert check_recursive(2, 2, 1, 1, 0).passed
-        assert check_recursive(1, 1, 1, 1, 1).passed
+        assert STATEMENTS["recursive"].check(m=2, u=2, p=1, n=1, v=0).passed
+        assert STATEMENTS["recursive"].check(m=1, u=1, p=1, n=1, v=1).passed
 
     def test_words_stay_y_ended(self):
         for params in ((1, 1, 1, 2, 1), (2, 1, 1, 1, 1), (1, 2, 2, 0, 3)):
@@ -120,9 +113,9 @@ class TestHeadTail:
         assert head_tail_rhs(2, 1, 0, 0) == Element.from_word("xy")
 
     def test_oracle_examples(self):
-        assert check_head_tail(2, 1, 0, 1).passed
-        assert check_head_tail(2, 1, 1, 1).passed
-        assert check_head_tail(3, 2, 2, 3).passed
+        assert STATEMENTS["head-tail"].check(head=2, p=1, k=0, m=1).passed
+        assert STATEMENTS["head-tail"].check(head=2, p=1, k=1, m=1).passed
+        assert STATEMENTS["head-tail"].check(head=3, p=2, k=2, m=3).passed
 
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
@@ -135,13 +128,13 @@ class TestPivot:
         assert pivot_rhs((2,), (3,), 1) == want
 
     def test_oracle_examples(self):
-        assert check_pivot((2, 1), (2,), 2).passed
-        assert check_pivot((1, 1), (1, 1), 1).passed
-        assert check_pivot((2, 1), (3,), 1).passed
+        assert STATEMENTS["pivot"].check(left=(2, 1), right=(2,), j=2).passed
+        assert STATEMENTS["pivot"].check(left=(1, 1), right=(1, 1), j=1).passed
+        assert STATEMENTS["pivot"].check(left=(2, 1), right=(3,), j=1).passed
 
     def test_every_split_position(self):
         for j in (1, 2, 3):
-            assert check_pivot((2, 1, 2), (1, 3), j).passed
+            assert STATEMENTS["pivot"].check(left=(2, 1, 2), right=(1, 3), j=j).passed
 
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
@@ -153,15 +146,15 @@ class TestPivot:
 class TestAlternating:
     def test_odd_collapses(self):
         assert alternating_sum_lhs(1, 3).is_zero
-        assert alternating_sum_check(1, 3).passed
+        assert STATEMENTS["alternating"].check(p=1, k=3).passed
 
     def test_even_k2(self):
         assert alternating_sum_lhs(1, 2) == Element.from_word("xy", -ONE_MINUS_2T)
         assert alternating_sum_rhs(1, 2) == Element.from_word("xy", -ONE_MINUS_2T)
-        assert alternating_sum_check(1, 2).passed
+        assert STATEMENTS["alternating"].check(p=1, k=2).passed
 
     def test_even_k4(self):
-        assert alternating_sum_check(2, 4).passed
+        assert STATEMENTS["alternating"].check(p=2, k=4).passed
 
     def test_endpoint_specializations(self):
         for p, k in ((1, 2), (1, 4), (2, 4), (2, 6)):
@@ -212,9 +205,9 @@ class TestNumericDecomposition:
 
 class TestStructuralCheckers:
     def test_combinatorial(self):
-        assert check_combinatorial((2, 1), (3,)).passed
-        assert check_combinatorial((), (2,)).passed
+        assert STATEMENTS["combinatorial"].check(left=(2, 1), right=(3,)).passed
+        assert STATEMENTS["combinatorial"].check(left=(), right=(2,)).passed
 
     def test_t0_reduction(self):
-        assert check_t0_reduction((1, 1), (1,)).passed
-        assert check_t0_reduction((2, 3), (1, 2)).passed
+        assert STATEMENTS["t0-reduction"].check(left=(1, 1), right=(1,)).passed
+        assert STATEMENTS["t0-reduction"].check(left=(2, 3), right=(1, 2)).passed

@@ -9,6 +9,7 @@ import pytest
 from tmzv.errors import NotInH1Error
 from tmzv.exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
 from tmzv.products import (
+    clear_caches,
     stuffle_classical,
     stuffle_combinatorial,
     stuffle_o,
@@ -117,6 +118,27 @@ class TestStuffleOpen:
         got = stuffle_o("xy", "xxy")
         want = stuffle_t("xy", "xxy") + Element.from_word("xxxxx", T2_MINUS_T)
         assert got == want
+
+    def test_matches_uncached_recursion_in_both_orders(self):
+        # the memo is keyed by the unordered pair, so the second order of a
+        # pair is served from the entry the first order stored
+        def reference(w1, w2):
+            if not w1 or not w2:
+                return Element.from_word(w1 + w2)
+            k, l = w1.index("y") + 1, w2.index("y") + 1
+            rest = reference(w1[k:], w2[l:])
+            return (
+                reference(w1[k:], w2).prepend_word(w1[:k])
+                + reference(w1, w2[l:]).prepend_word(w2[:l])
+                + rest.prepend_word("x" * (k + l - 1) + "y").scale(ONE_MINUS_2T)
+                + rest.prepend_word("x" * (k + l)).scale(T2_MINUS_T)
+            )
+
+        clear_caches()
+        words = [word_of_index(idx) for idx in small_indices(max_depth=2, max_part=3)]
+        for w1 in words:
+            for w2 in words:
+                assert stuffle_o(w1, w2) == reference(w1, w2), (w1, w2)
 
 
 class TestClassical:

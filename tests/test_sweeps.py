@@ -1,30 +1,29 @@
-"""Sweep plumbing: ranges, registry dispatch, thread fan-out, failure paths."""
+"""Sweep plumbing: ranges, the statement registry, failure paths."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from tmzv.cli import main
 from tmzv.identities import VerifyReport
-from tmzv.sweeps import (
-    SWEEPS,
-    indices_up_to,
-    run_statement,
-    sweep_alternating,
-    sweep_head_tail,
-    sweep_recursive,
-)
+from tmzv.sweeps import STATEMENTS, SweepArgs, indices_up_to, run_statement
+from tmzv.zeta import clear_cache
 
 
 class TestRanges:
     def test_recursive_default_count(self):
         # m, u, p in {1..3} and n, v in {0..3}
-        assert len(sweep_recursive(3)) == 3 * 3 * 3 * 4 * 4
+        assert len(run_statement("recursive", max_size=3)) == 3 * 3 * 3 * 4 * 4
 
     def test_head_tail_default_count(self):
         # head in {2,3}, p in {1,2}, k in {0..2}, m in {0..4}
-        assert len(sweep_head_tail(3)) == 2 * 2 * 3 * 5
+        assert len(run_statement("head-tail", max_size=3)) == 2 * 2 * 3 * 5
 
     def test_alternating_default_range(self):
-        reports = sweep_alternating(3)
+        reports = run_statement("alternating", max_size=3)
         ks = {r.params["k"] for r in reports if r.statement == "alternating"}
         ps = {r.params["p"] for r in reports if r.statement == "alternating"}
         assert ks == set(range(1, 9))
@@ -37,7 +36,7 @@ class TestRanges:
 
 class TestRegistry:
     def test_every_statement_dispatches(self):
-        for name in SWEEPS:
+        for name in STATEMENTS:
             if name in ("box-map", "decomposition"):
                 continue  # exercised in the acceptance suite at full cutoff
             reports = run_statement(name, max_size=1, cases=5)
@@ -48,25 +47,54 @@ class TestRegistry:
         assert all(r.passed for r in reports)
         assert all(r.params["cutoff"] == 1_000 for r in reports)
 
+    @pytest.mark.parametrize("name", [name for name, s in STATEMENTS.items() if s.needs])
+    def test_single_instance_matches_sweep(self, capsys, name):
+        # the single-instance verify at the first --max 1 grid point reports
+        # what the sweep reports there
+        params = STATEMENTS[name].grid(SweepArgs(max_size=1))[0]
+        argv = ["verify", name, "--json"]
+        plain = []
+        for key, value in params.items():
+            if key in ("left", "right"):
+                argv += [f"--{key}", ",".join(map(str, value))]
+            elif key == "t0":
+                argv += ["--t", repr(value)]
+            elif key == "cutoff":
+                argv += ["--cutoff", str(value)]
+            else:
+                plain.append(f"{key}={value}")
+        if plain:
+            argv += ["--params", ",".join(plain)]
+        assert main(argv) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert single == [run_statement(name, max_size=1)[0].to_json_obj()]
 
-class TestThreads:
-    def test_fanout_matches_single_thread(self, monkeypatch):
-        single = [r.to_json_obj() for r in sweep_recursive(2)]
-        monkeypatch.setenv("TMZV_THREADS", "4")
-        fanned = [r.to_json_obj() for r in sweep_recursive(2)]
-        assert fanned == single
+    def test_readme_lists_every_statement(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Verification statements", 1)[1]
+        accepted = section.split("accepts:", 1)[1].split("or `all`", 1)[0]
+        assert re.findall(r"`([^`]+)`", accepted) == list(STATEMENTS)
+
+    def test_zeta_formulas_json_is_deterministic(self, capsys):
+        outputs = []
+        for _ in range(2):
+            clear_cache()
+            assert main(["verify", "zeta-formulas", "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestFailurePaths:
     def test_verify_exit_code_on_failure(self, capsys, monkeypatch):
-        import tmzv.cli as cli
+        import tmzv.sweeps as sweeps
 
         def fake_check(m, u, p, n, v):
             return VerifyReport(
                 "recursive", {"m": m}, False, {"lhs": {"terms": []}, "rhs": {"terms": []}}
             )
 
-        monkeypatch.setattr(cli, "check_recursive", fake_check)
+        entry = dataclasses.replace(sweeps.STATEMENTS["recursive"], check=fake_check)
+        monkeypatch.setitem(sweeps.STATEMENTS, "recursive", entry)
         code = main(["verify", "recursive", "--params", "m=2,u=2,p=1,n=1,v=0"])
         out = capsys.readouterr().out
         assert code == 1
@@ -76,7 +104,10 @@ class TestFailurePaths:
         import tmzv.sweeps as sweeps
 
         bad = VerifyReport("factorial", {"k": 2}, False, {"lhs": "0", "rhs": "1"})
-        monkeypatch.setitem(sweeps.SWEEPS, "factorial", lambda: [bad])
+        entry = dataclasses.replace(
+            sweeps.STATEMENTS["factorial"], check=lambda: bad, grid=lambda args: [{}]
+        )
+        monkeypatch.setitem(sweeps.STATEMENTS, "factorial", entry)
         code = main(["verify", "factorial"])
         out = capsys.readouterr().out
         assert code == 1
