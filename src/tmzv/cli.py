@@ -158,6 +158,10 @@ def _single_check(args: argparse.Namespace) -> VerifyReport:
         if args.left is None or args.right is None:
             raise UsageError(f"verify {name} needs both --left and --right indices")
         params.update(left=list(_parse_index(args.left)), right=list(_parse_index(args.right)))
+    elif args.left is not None or args.right is not None:
+        raise UsageError(f"verify {name} takes no --left/--right indices")
+    if args.t is not None and "t0" not in statement.optional:
+        raise UsageError(f"verify {name} takes no --t value")
     missing = [key for key in statement.needs if key not in params]
     if missing:
         raise UsageError(
@@ -179,8 +183,16 @@ def _print_reports(reports: list[VerifyReport]) -> None:
     print(json.dumps([report.to_json_obj() for report in reports], sort_keys=True))
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    """Refuse a size flag that would leave nothing to check."""
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.params is not None or args.left is not None:
+    _at_least("--max", args.max, 1)
+    _at_least("--cases", args.cases, 1)
+    if any(flag is not None for flag in (args.params, args.left, args.right, args.t)):
         report = _single_check(args)
         if args.json:
             _print_reports([report])
@@ -233,12 +245,14 @@ def _scalar_reports(reports: list[VerifyReport], as_json: bool, line: str) -> in
 
 
 def _cmd_eq31(args: argparse.Namespace) -> int:
+    _at_least("--max", args.max, 2)
     check = STATEMENTS["factorial"].check
     reports = [check(k=k) for k in range(2, args.max + 1, 2)]
     return _scalar_reports(reports, args.json, "k={k}: {verdict} (lhs={lhs}, rhs={rhs})")
 
 
 def _cmd_zeta8(args: argparse.Namespace) -> int:
+    _at_least("--max", args.max, 1)
     check = STATEMENTS["gaussian"].check
     reports = [check(l=l) for l in range(1, args.max + 1)]
     return _scalar_reports(reports, args.json, "l={l}: {verdict} (re={lhs_re}, im={lhs_im})")

@@ -122,13 +122,11 @@ class TPoly:
         return self + (-other)
 
     def __mul__(self, other: "TPoly | Fraction | int") -> "TPoly":
-        if isinstance(other, (Fraction, int)):
+        if type(other) is not TPoly:
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
             other = _canon(other)
-            if other == 1:
-                return self
-            return TPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, TPoly):
-            return NotImplemented
+            return self if other == 1 else TPoly(tuple(c * other for c in self.coeffs))
         if self.coeffs == _UNIT:
             return other
         if other.coeffs == _UNIT:

@@ -33,7 +33,7 @@ from .exact import (
     factorial,
 )
 from .products import stuffle_o, stuffle_t
-from .words import Element, _iadd, word_of_index, z_word
+from .words import Element, _concat_into, _iadd, word_of_index, z_word
 from .zeta import EvalConfig, mzv, z_t_eval
 
 
@@ -105,9 +105,7 @@ def _add_composition_tails(
 ) -> None:
     # bracket * z_{a_1} ... z_{a_length} over all compositions; a_w = r_w * p
     for comp in _compositions(units, length, even_parts):
-        tail = word_of_index(r * p for r in comp)
-        for bword, bcoeff in bracket:
-            _iadd(out, bword + tail, bcoeff * scale)
+        _concat_into(out, bracket, [(word_of_index(r * p for r in comp), scale)])
 
 
 def power_product_rhs(m: int, n: int, p: int) -> Element:
@@ -207,10 +205,7 @@ def recursive_rhs(m: int, u: int, p: int, n: int, v: int) -> Element:
                 bracket.append(
                     (word_of_index((head,) + (p,) * (i - 1)) + "x" * (other + p), T2_MINUS_T)
                 )
-            inner = stuffle_t(zp_pow(other_count), zp_pow(count - i))
-            for bword, bcoeff in bracket:
-                for w, c in inner.items():
-                    _iadd(out, bword + w, bcoeff * c)
+            _concat_into(out, bracket, stuffle_t(zp_pow(other_count), zp_pow(count - i)).items())
 
     family(m, u, n, v)
     family(u, m, v, n)
@@ -222,10 +217,7 @@ def recursive_rhs(m: int, u: int, p: int, n: int, v: int) -> Element:
     ]
     if not (n == 0 and v == 0):
         bracket.append(("x" * (m + u), T2_MINUS_T))
-    inner = stuffle_t(zp_pow(n), zp_pow(v))
-    for bword, bcoeff in bracket:
-        for w, c in inner.items():
-            _iadd(out, bword + w, bcoeff * c)
+    _concat_into(out, bracket, stuffle_t(zp_pow(n), zp_pow(v)).items())
     return Element._unsafe(out)
 
 
@@ -245,9 +237,7 @@ def head_tail_rhs(head: int, p: int, k: int, m: int) -> Element:
                     (word_of_index((p,) * (l - 1)) + "x" * (head + p), T2_MINUS_T)
                 )
         inner = stuffle_t(word_of_index((p,) * k), word_of_index((p,) * (m - l)))
-        for bword, bcoeff in bracket:
-            for w, c in inner.items():
-                _iadd(out, bword + w, bcoeff * c)
+        _concat_into(out, bracket, inner.items())
     return Element._unsafe(out)
 
 
@@ -271,25 +261,18 @@ def pivot_rhs(idx1: Iterable[int], idx2: Iterable[int], j: int) -> Element:
     prefix1 = word_of_index(i1[: j - 1])
     kj = i1[j - 1]
     suffix1 = word_of_index(i1[j:])
+    zk = z_word(kj)
     out: dict[str, TPoly] = {}
     for i in range(n + 1):
-        tail = stuffle_t(suffix1, word_of_index(i2[i:]))
-        plain = stuffle_o(prefix1, word_of_index(i2[:i]))
-        zk = z_word(kj)
-        for ow, oc in plain.items():
-            for tw, tc in tail.items():
-                _iadd(out, ow + zk + tw, oc * tc)
+        # the left side of cut i: plain·z_k, plus merged·bracket for i >= 1
+        left = {ow + zk: oc for ow, oc in stuffle_o(prefix1, word_of_index(i2[:i])).items()}
         if i >= 1:
             li = i2[i - 1]
-            merged = stuffle_o(prefix1, word_of_index(i2[: i - 1]))
             bracket: Bracket = [(z_word(kj + li), ONE_MINUS_2T)]
             if not (i == n and j == m):
                 bracket.append(("x" * (kj + li), T2_MINUS_T))
-            for ow, oc in merged.items():
-                for bword, bcoeff in bracket:
-                    head, scale = ow + bword, oc * bcoeff
-                    for tw, tc in tail.items():
-                        _iadd(out, head + tw, scale * tc)
+            _concat_into(left, stuffle_o(prefix1, word_of_index(i2[: i - 1])).items(), bracket)
+        _concat_into(out, left.items(), stuffle_t(suffix1, word_of_index(i2[i:])).items())
     return Element._unsafe(out)
 
 

@@ -16,7 +16,8 @@ independently on index tuples so it can serve as an oracle.
 merge patterns, without recursion.
 
 Word-pair results are memoized, one table per product, each keyed by the
-unordered pair.
+unordered pair. A product of two words returns its memo Element itself, not
+a copy: Elements are immutable, so no caller can change a shared entry.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable
 
 from .errors import NotInH1Error
 from .exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
-from .words import Element, _iadd, validate_word, word_of_index, z_word
+from .words import Element, _concat_into, _iadd, validate_word, word_of_index, z_word
 
 _CACHE_T: dict[tuple[str, str], Element] = {}
 _CACHE_O: dict[tuple[str, str], Element] = {}
@@ -64,38 +65,30 @@ def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
     k, t1 = _head_tail(w1)
     l, t2 = _head_tail(w2)
     out: dict[str, TPoly] = {}
-    zk, zl = z_word(k), z_word(l)
-    for w, c in _stuffle_t_words(t1, w2, open_).items():
-        _iadd(out, zk + w, c)
-    for w, c in _stuffle_t_words(w1, t2, open_).items():
-        _iadd(out, zl + w, c)
-    rest = _stuffle_t_words(t1, t2, open_)
-    zkl = z_word(k + l)
-    for w, c in rest.items():
-        _iadd(out, zkl + w, c * ONE_MINUS_2T)
+    _concat_into(out, [(z_word(k), POLY_ONE)], _stuffle_t_words(t1, w2, open_).items())
+    _concat_into(out, [(z_word(l), POLY_ONE)], _stuffle_t_words(w1, t2, open_).items())
+    merges = [(z_word(k + l), ONE_MINUS_2T)]
     if open_ or t1 or t2:
-        xrun = "x" * (k + l)
-        for w, c in rest.items():
-            _iadd(out, xrun + w, c * T2_MINUS_T)
+        merges.append(("x" * (k + l), T2_MINUS_T))
+    _concat_into(out, merges, _stuffle_t_words(t1, t2, open_).items())
     result = Element._unsafe(out)
     cache[key] = result
     return result
 
 
 def _bilinear(a: str | Element, b: str | Element, open_: bool = False) -> Element:
+    if isinstance(a, str) and isinstance(b, str):
+        # a word pair returns the shared memo Element itself, with no copy
+        return _stuffle_t_words(_require_h1(a), _require_h1(b), open_)
     ea = Element.from_word(a) if isinstance(a, str) else a
     eb = Element.from_word(b) if isinstance(b, str) else b
-    for word, _ in ea.items():
-        _require_h1(word)
-    for word, _ in eb.items():
+    for word, _ in [*ea.items(), *eb.items()]:
         _require_h1(word)
     out: dict[str, TPoly] = {}
     for w1, c1 in ea.items():
         for w2, c2 in eb.items():
-            scale = c1 * c2
-            unit = scale == POLY_ONE  # true for every word input
-            for w, c in _stuffle_t_words(w1, w2, open_).items():
-                _iadd(out, w, c if unit else c * scale)
+            # the memo entry scaled by c1 c2; the kernel skips a unit scale
+            _concat_into(out, [("", c1 * c2)], _stuffle_t_words(w1, w2, open_).items())
     return Element._unsafe(out)
 
 
@@ -127,12 +120,9 @@ def _classical_cached(idx1: tuple[int, ...], idx2: tuple[int, ...]) -> Element:
     a, u = idx1[0], idx1[1:]
     b, v = idx2[0], idx2[1:]
     out: dict[str, TPoly] = {}
-    for w, c in _classical_cached(u, idx2).items():
-        _iadd(out, z_word(a) + w, c)
-    for w, c in _classical_cached(idx1, v).items():
-        _iadd(out, z_word(b) + w, c)
-    for w, c in _classical_cached(u, v).items():
-        _iadd(out, z_word(a + b) + w, c)
+    _concat_into(out, [(z_word(a), POLY_ONE)], _classical_cached(u, idx2).items())
+    _concat_into(out, [(z_word(b), POLY_ONE)], _classical_cached(idx1, v).items())
+    _concat_into(out, [(z_word(a + b), POLY_ONE)], _classical_cached(u, v).items())
     return Element._unsafe(out)
 
 
@@ -159,6 +149,13 @@ def stuffle_combinatorial(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
     p1 = _check_index(idx1)
     p2 = _check_index(idx2)
     n, m = len(p1), len(p2)
+    # the coefficient of a run of a parts merged with b parts, built once
+    factors = {
+        (a, b): ONE_MINUS_2T * T2_MINUS_T ** (a - 1) if a == b else T2_MINUS_T ** min(a, b)
+        for a in range(1, n + 1)
+        for b in (a - 1, a, a + 1)
+        if 1 <= b <= m
+    }
     out: dict[str, TPoly] = {}
 
     def emit(i: int, j: int, prefix: str, coeff: TPoly) -> None:
@@ -174,11 +171,7 @@ def stuffle_combinatorial(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
                 if b < 1 or b > m - j:
                     continue
                 total = sum(p1[i : i + a]) + sum(p2[j : j + b])
-                if a == b:
-                    factor = ONE_MINUS_2T * T2_MINUS_T ** (a - 1)
-                else:
-                    factor = T2_MINUS_T ** min(a, b)
-                emit(i + a, j + b, prefix + z_word(total), coeff * factor)
+                emit(i + a, j + b, prefix + z_word(total), coeff * factors[a, b])
 
     emit(0, 0, "", POLY_ONE)
     return Element._unsafe(out)

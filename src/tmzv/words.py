@@ -11,16 +11,18 @@ merge terms of the deformed products produce bare x-runs that only become
 part of a z letter after further concatenation, and raw keys make that
 absorption automatic.
 
-Elements are treated as immutable; every operation builds a new value.
+Elements are treated as immutable; every operation builds a new value, and
+nothing outside this module touches their terms. That is what lets the
+products return their memoized Elements shared instead of copied.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, ItemsView, Mapping
 
 from .errors import NotInH1Error
-from .exact import POLY_ONE, POLY_ZERO, TPoly
+from .exact import _UNIT, POLY_ONE, POLY_ZERO, TPoly
 
 Word = str
 
@@ -91,6 +93,19 @@ def _iadd(terms: dict[str, TPoly], word: str, coeff: TPoly) -> None:
         terms[word] = new
 
 
+Term = tuple[str, TPoly]
+
+
+def _concat_into(out: dict[str, TPoly], left: Iterable[Term], right: Collection[Term]) -> None:
+    """The concatenation kernel: ``out += left · right``, adding ``c1 * c2``
+    under ``w1 + w2`` for every pair of terms and skipping the multiplication
+    when a left coefficient is 1. ``right`` is walked once per left term."""
+    for w1, c1 in left:
+        unit = c1.coeffs == _UNIT
+        for w2, c2 in right:
+            _iadd(out, w1 + w2, c2 if unit else c1 * c2)
+
+
 CoeffLike = TPoly | Fraction | int
 
 
@@ -137,8 +152,8 @@ class Element:
     def from_index(cls, parts: Iterable[int], coeff: CoeffLike = POLY_ONE) -> "Element":
         return cls.from_word(word_of_index(parts), coeff)
 
-    def items(self) -> Iterator[tuple[str, TPoly]]:
-        return iter(self._terms.items())
+    def items(self) -> ItemsView[str, TPoly]:
+        return self._terms.items()
 
     def sorted_items(self) -> list[tuple[str, TPoly]]:
         return sorted(self._terms.items(), key=lambda kv: _canonical_key(kv[0]))
@@ -193,9 +208,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         out: dict[str, TPoly] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                _iadd(out, w1 + w2, c1 * c2)
+        _concat_into(out, self._terms.items(), other._terms.items())
         return Element._unsafe(out)
 
     def prepend_word(self, word: str) -> "Element":

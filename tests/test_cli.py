@@ -155,6 +155,9 @@ class TestScalarIdentityCommands:
         assert all(report["passed"] for report in json.loads(out))
 
 
+RECURSIVE = "m=2,u=2,p=1,n=1,v=0"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, needle",
@@ -166,6 +169,16 @@ class TestUsageErrors:
             ),
             (["verify", "recursive", "--params", "m=2"], "recursive is missing parameters u, p, n, v"),
             (["verify", "pivot", "--params", "m=2"], "--left and --right"),
+            (["verify", "properties", "--cases", "0"], "--cases must be at least 1"),
+            (["verify", "pivot", "--max", "0"], "--max must be at least 1"),
+            (["verify", "pivot", "--max", "-2"], "--max must be at least 1"),
+            (["eq31", "--max", "1"], "--max must be at least 2"),
+            (["zeta8", "--max", "0"], "--max must be at least 1"),
+            (["verify", "pivot", "--right", "3", "--max", "1"], "--left and --right"),
+            (["verify", "recursive", "--params", RECURSIVE, "--left", "2"], "no --left/--right"),
+            (["verify", "recursive", "--params", RECURSIVE, "--right", "2"], "no --left/--right"),
+            (["verify", "recursive", "--params", RECURSIVE, "--t", "1/2"], "takes no --t"),
+            (["verify", "pivot", "--left", "2", "--right", "3", "--t", "0"], "takes no --t"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):
@@ -175,6 +188,22 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert needle in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "pivot", "--max", "1", "--json"],
+            ["verify", "properties", "--cases", "1", "--json"],
+            ["eq31", "--max", "2", "--json"],
+            ["zeta8", "--max", "1", "--json"],
+            ["verify", "decomposition", "--params", RECURSIVE, "--t", "1/2", "--json"],
+        ],
+    )
+    def test_smallest_runs_still_check(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        reports = json.loads(out)
+        assert reports and all(report["passed"] for report in reports)
 
 
 class TestParsing:

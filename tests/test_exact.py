@@ -117,6 +117,18 @@ class TestTPoly:
         assert POLY_T * 2 == TPoly((0, 2))
         assert POLY_T * Fraction(1, 2) == TPoly((0, Fraction(1, 2)))
 
+    def test_mul_dispatch(self):
+        assert POLY_T * Fraction(3, 2) == TPoly((0, Fraction(3, 2)))
+        assert POLY_T * 3 == TPoly((0, 3))
+        assert 3 * POLY_T == TPoly((0, 3))
+        assert Fraction(1, 2) * POLY_T == TPoly((0, Fraction(1, 2)))
+        assert POLY_T * POLY_T == TPoly((0, 0, 1))
+        for bad in ("x", 1.5, None):
+            with pytest.raises(TypeError):
+                POLY_T * bad
+            with pytest.raises(TypeError):
+                bad * POLY_T
+
     def test_str(self):
         assert str(ONE_MINUS_2T) == "1 - 2t"
         assert str(T2_MINUS_T) == "-t + t^2"

@@ -99,6 +99,35 @@ class TestUnitScalePath:
         assert op(mixed, "xxy") == want
 
 
+@pytest.mark.parametrize("op", [stuffle_t, stuffle_o])
+class TestWordPairPath:
+    """A word pair returns the memo Element itself, so its input checks and
+    its immutability must hold on that path."""
+
+    @pytest.mark.parametrize("left, right", [("yx", "y"), ("y", "yx"), ("xyx", ""), ("", "x")])
+    def test_x_ended_word_raises(self, op, left, right):
+        with pytest.raises(NotInH1Error):
+            op(left, right)
+
+    def test_use_leaves_memo_entry_intact(self, op):
+        clear_caches()
+        got = op("xyy", "xxyy")
+        assert op("xxyy", "xyy") is got  # the shared memo entry, either order
+        other = op("xy", "y")
+        got + other
+        got - got
+        got.scale(ONE_MINUS_2T)
+        got.scale(Fraction(1, 3))
+        got * other
+        other * got
+        got.eval_at(Fraction(1, 2))
+        clear_caches()
+        fresh = op("xyy", "xxyy")
+        assert fresh is not got
+        assert fresh == got
+        assert _json_bytes(fresh) == _json_bytes(got)
+
+
 class TestStuffleOpen:
     def test_unit(self):
         assert stuffle_o("", "xyy") == Element.from_word("xyy")

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tmzv.errors import NotInH1Error
-from tmzv.exact import ONE_MINUS_2T, POLY_ZERO, T2_MINUS_T, TPoly
+from tmzv.exact import ONE_MINUS_2T, POLY_ONE, POLY_ZERO, T2_MINUS_T, TPoly
 from tmzv.words import (
     Element,
     delta,
@@ -27,6 +27,14 @@ small_coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=4
 ).map(TPoly)
 elements = st.lists(st.tuples(raw_words, small_coeffs), max_size=5).map(Element)
+# coefficients that mix the unit, integer polynomials and rational ones, so
+# both branches of the concatenation kernel run
+mixed_coeffs = st.one_of(
+    st.just(POLY_ONE),
+    st.lists(st.integers(-9, 9), max_size=4).map(TPoly),
+    small_coeffs,
+)
+mixed_elements = st.lists(st.tuples(raw_words, mixed_coeffs), max_size=6).map(Element)
 
 
 class TestWords:
@@ -100,6 +108,16 @@ class TestElement:
         right = Element.from_word("xxy", T2_MINUS_T)
         out = left * right
         assert out == Element.from_word("xyxxy", ONE_MINUS_2T * T2_MINUS_T)
+
+    @given(mixed_elements, mixed_elements)
+    def test_concat_matches_naive_double_loop(self, a, b):
+        naive = Element.zero()
+        for w1, c1 in a.items():
+            for w2, c2 in b.items():
+                naive = naive + Element.from_word(w1 + w2, c1 * c2)
+        got = a * b
+        assert got == naive
+        assert json.dumps(got.to_json_obj()) == json.dumps(naive.to_json_obj())
 
     @given(elements, elements, elements)
     def test_concat_associative(self, a, b, c):
