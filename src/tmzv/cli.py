@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -115,10 +116,7 @@ def _cmd_st(args: argparse.Namespace) -> int:
 def _cmd_zeta(args: argparse.Namespace, star: bool) -> int:
     idx = _parse_index(args.index)
     cfg = EvalConfig(args.cutoff)
-    try:
-        value = mzv_star(idx, cfg) if star else mzv(idx, cfg)
-    except DivergentError as exc:
-        raise UsageError(str(exc)) from exc
+    value = mzv_star(idx, cfg) if star else mzv(idx, cfg)
     _print_value(
         "zeta-star" if star else "zeta",
         value,
@@ -137,8 +135,10 @@ def _cmd_zeta_t(args: argparse.Namespace) -> int:
             value = z_t_eval(word_of_index(idx), cfg)
         else:
             value = zeta_t_boxes(idx, cfg)
-    except (DivergentError, NotInH0Error) as exc:
-        raise UsageError(str(exc)) from exc
+    except OverflowError:  # a power of t0 beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise UsageError(f"zeta-t at t value {args.t!r} overflows the float range")
     _print_value(
         "zeta-t",
         value,
@@ -146,6 +146,10 @@ def _cmd_zeta_t(args: argparse.Namespace) -> int:
         args.json,
     )
     return 0
+
+
+# the params a single-instance verify takes from a flag of its own, not --params
+_PARAM_FLAGS = {"left": "--left", "right": "--right", "t0": "--t", "cutoff": "--cutoff"}
 
 
 def _single_check(args: argparse.Namespace) -> VerifyReport:
@@ -157,25 +161,32 @@ def _single_check(args: argparse.Namespace) -> VerifyReport:
     if "left" in statement.needs:
         if args.left is None or args.right is None:
             raise UsageError(f"verify {name} needs both --left and --right indices")
-        params.update(left=list(_parse_index(args.left)), right=list(_parse_index(args.right)))
     elif args.left is not None or args.right is not None:
         raise UsageError(f"verify {name} takes no --left/--right indices")
     if args.t is not None and "t0" not in statement.optional:
         raise UsageError(f"verify {name} takes no --t value")
+    known = (*statement.needs, *statement.optional)
+    names = [key for key in known if key not in _PARAM_FLAGS]
+    for key in params:
+        if key in known and key in _PARAM_FLAGS:
+            raise UsageError(f"verify {name} takes {key} from {_PARAM_FLAGS[key]}, not --params")
+        if key not in names:
+            takes = ", ".join(names) or "none"
+            raise UsageError(f"verify {name} has no parameter {key!r} (--params takes {takes})")
+    if args.left is not None:
+        params.update(left=list(_parse_index(args.left)), right=list(_parse_index(args.right)))
     missing = [key for key in statement.needs if key not in params]
     if missing:
         raise UsageError(
             f"verify {name} is missing parameters {', '.join(missing)} "
             f"(needs {', '.join(statement.needs)})"
         )
+    if args.t is not None:
+        params["t0"] = _parse_t_float(args.t)
+    if args.cutoff is not None:
+        params["cutoff"] = args.cutoff
     values = {key: params[key] for key in statement.needs}
-    for key, default in statement.optional.items():
-        values[key] = params.get(key, default)
-    # a numeric check takes its t0 and cutoff from --t and --cutoff, not --params
-    if "t0" in values:
-        values["t0"] = statement.optional["t0"] if args.t is None else _parse_t_float(args.t)
-    if "cutoff" in values:
-        values["cutoff"] = args.cutoff or statement.optional["cutoff"]
+    values.update({key: params.get(key, default) for key, default in statement.optional.items()})
     return statement.check(**values)
 
 
@@ -336,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "zeta8":
             return _cmd_zeta8(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, BadParamsError, NotInH1Error, ValueError, KeyError) as exc:
+    except (UsageError, BadParamsError, DivergentError, NotInH0Error, NotInH1Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

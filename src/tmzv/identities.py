@@ -3,10 +3,13 @@
 Each ``*_rhs`` function constructs, term by term, the right-hand side of one
 stated identity for the deformed stuffle product; the statement registry in
 :mod:`tmzv.sweeps` compares it against the product engine with
-:func:`element_comparison`. The scalar and numeric ``*_check`` functions
-build their :class:`VerifyReport` here. Exact checks compare Elements;
-numeric checks route both sides through the truncated evaluator at the same
-cutoff.
+:func:`element_comparison`. The builders share their brackets: the closed
+form of z_m z_p^n * z_u z_p^v is one head split with its tail products
+z_p^a * z_p^b given by :func:`power_product_rhs`, so it never calls the
+engine, and the recursive form is the same split with engine tails. The
+scalar and numeric ``*_check`` functions build their :class:`VerifyReport`
+here. Exact checks compare Elements; numeric checks route both sides
+through the truncated evaluator at the same cutoff.
 
 Compositions appearing in the closed forms are ordered sequences of positive
 multiples of p with prescribed total weight and, where stated, a prescribed
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import BadParamsError
 from .exact import (
@@ -94,18 +97,34 @@ def _compositions(total: int, length: int, even_parts: int | None = None) -> Ite
 Bracket = list[tuple[str, TPoly]]
 
 
-def _add_composition_tails(
-    out: dict[str, TPoly],
-    bracket: Bracket,
-    scale: TPoly,
-    units: int,
-    length: int,
-    even_parts: int,
-    p: int,
-) -> None:
-    # bracket * z_{a_1} ... z_{a_length} over all compositions; a_w = r_w * p
-    for comp in _compositions(units, length, even_parts):
-        _concat_into(out, bracket, [(word_of_index(r * p for r in comp), scale)])
+def _merged(prefix: str, k: int, last: bool) -> Bracket:
+    """The merged letter behind ``prefix``: (1-2t) z_k, plus (t^2-t) x^k
+    unless nothing follows it (``last``)."""
+    merged: Bracket = [(prefix + z_word(k), ONE_MINUS_2T)]
+    return merged if last else merged + [(prefix + "x" * k, T2_MINUS_T)]
+
+
+def _passed(head: str, p: int, l: int, other: int, last: bool) -> Bracket:
+    """l >= 1 letters z_p passed behind ``head`` before z_other: the word
+    head z_p^l z_other, plus z_other merged with the l-th z_p."""
+    merged = _merged(head + word_of_index((p,) * (l - 1)), other + p, last)
+    return [(head + word_of_index((p,) * l + (other,)), POLY_ONE), *merged]
+
+
+def _heads_rhs(
+    m: int, u: int, p: int, n: int, v: int, tails: Callable[[int, int], Element]
+) -> Element:
+    """The head split of z_m z_p^n * z_u z_p^v: two mirror families pass
+    l >= 1 tail letters of one head before the other head, and the third
+    joins the two heads; ``tails(a, b)`` expands z_p^a * z_p^b."""
+    out: dict[str, TPoly] = {}
+    for head, other, count, other_count in ((m, u, n, v), (u, m, v, n)):
+        for l in range(1, count + 1):
+            bracket = _passed(z_word(head), p, l, other, other_count == 0 and count == l)
+            _concat_into(out, bracket, tails(other_count, count - l).items())
+    heads = [(word_of_index((m, u)), POLY_ONE), (word_of_index((u, m)), POLY_ONE)]
+    _concat_into(out, heads + _merged("", m + u, n == 0 and v == 0), tails(n, v).items())
+    return Element._unsafe(out)
 
 
 def power_product_rhs(m: int, n: int, p: int) -> Element:
@@ -126,99 +145,30 @@ def power_product_rhs(m: int, n: int, p: int) -> Element:
         for i in range(k + 1):
             j = k - i
             scale = T2_MINUS_T**i * ONE_MINUS_2T**j * cb
-            _add_composition_tails(out, [("", POLY_ONE)], scale, m + n, m + n - i - k, j, p)
+            # a_w = r_w * p over the compositions r of m + n
+            for comp in _compositions(m + n, m + n - i - k, j):
+                _iadd(out, word_of_index(r * p for r in comp), scale)
     return Element._unsafe(out)
 
 
 def closed_form_rhs(m: int, u: int, p: int, n: int, v: int) -> Element:
-    """Fully explicit three-family expansion of z_m z_p^n * z_u z_p^v.
-
-    Two mirror families peel l >= 1 tail letters behind one head, the third
-    family handles the two heads directly; each family multiplies a short
-    bracket (head words, one (1-2t)-merged word, one guarded x-run word) by
-    the composition sums of :func:`power_product_rhs` shape.
-    """
+    """Fully explicit expansion of z_m z_p^n * z_u z_p^v: the head split of
+    :func:`_heads_rhs` with each tail product z_p^a * z_p^b given by
+    :func:`power_product_rhs`, so the product engine is never called."""
     if m < 2 or u < 2 or p < 1 or n < 0 or v < 0:
         raise BadParamsError(f"need m, u >= 2, p >= 1, n, v >= 0, got {(m, u, p, n, v)}")
-    out: dict[str, TPoly] = {}
-
-    def family(head: int, other: int, count: int, other_count: int) -> None:
-        # peel l letters of the tail z_p^count behind `head`; the bracket ends
-        # in z_other / z_{other+p} / x^{other+p}
-        for l in range(1, count + 1):
-            for k in range(min(other_count, count - l) + 1):
-                cb = binom(v + n - l - 2 * k, other_count - k)
-                if cb == 0:
-                    continue
-                bracket: Bracket = [
-                    (word_of_index((head,) + (p,) * l + (other,)), POLY_ONE),
-                    (word_of_index((head,) + (p,) * (l - 1) + (other + p,)), ONE_MINUS_2T),
-                ]
-                if not (other_count == 0 and count == l):
-                    bracket.append(
-                        (word_of_index((head,) + (p,) * (l - 1)) + "x" * (other + p), T2_MINUS_T)
-                    )
-                for i in range(k + 1):
-                    j = k - i
-                    scale = T2_MINUS_T**i * ONE_MINUS_2T**j * cb
-                    _add_composition_tails(out, bracket, scale, n + v - l, v + n - l - i - k, j, p)
-
-    family(m, u, n, v)
-    family(u, m, v, n)
-
-    for k in range(min(n, v) + 1):
-        cb = binom(v + n - 2 * k, n - k)
-        if cb == 0:
-            continue
-        bracket = [
-            (word_of_index((m, u)), POLY_ONE),
-            (word_of_index((u, m)), POLY_ONE),
-            (word_of_index((m + u,)), ONE_MINUS_2T),
-        ]
-        if not (n == 0 and v == 0):
-            bracket.append(("x" * (m + u), T2_MINUS_T))
-        for i in range(k + 1):
-            j = k - i
-            scale = T2_MINUS_T**i * ONE_MINUS_2T**j * cb
-            _add_composition_tails(out, bracket, scale, n + v, v + n - i - k, j, p)
-    return Element._unsafe(out)
+    return _heads_rhs(m, u, p, n, v, lambda a, b: power_product_rhs(a, b, p))
 
 
 def recursive_rhs(m: int, u: int, p: int, n: int, v: int) -> Element:
-    """Head-splitting form of z_m z_p^n * z_u z_p^v: brackets as in
-    :func:`closed_form_rhs` but with the tail products z_p^a * z_p^b left to
-    the product engine."""
+    """Recursive form of z_m z_p^n * z_u z_p^v: the head split of
+    :func:`_heads_rhs` with the tail products z_p^a * z_p^b left to the
+    product engine."""
     if m < 1 or u < 1 or p < 1 or n < 0 or v < 0:
         raise BadParamsError(f"need m, u, p >= 1 and n, v >= 0, got {(m, u, p, n, v)}")
-    out: dict[str, TPoly] = {}
-
-    def zp_pow(count: int) -> str:
-        return word_of_index((p,) * count)
-
-    def family(head: int, other: int, count: int, other_count: int) -> None:
-        for i in range(1, count + 1):
-            bracket: Bracket = [
-                (word_of_index((head,) + (p,) * i + (other,)), POLY_ONE),
-                (word_of_index((head,) + (p,) * (i - 1) + (other + p,)), ONE_MINUS_2T),
-            ]
-            if not (other_count == 0 and count == i):
-                bracket.append(
-                    (word_of_index((head,) + (p,) * (i - 1)) + "x" * (other + p), T2_MINUS_T)
-                )
-            _concat_into(out, bracket, stuffle_t(zp_pow(other_count), zp_pow(count - i)).items())
-
-    family(m, u, n, v)
-    family(u, m, v, n)
-
-    bracket = [
-        (word_of_index((m, u)), POLY_ONE),
-        (word_of_index((u, m)), POLY_ONE),
-        (word_of_index((m + u,)), ONE_MINUS_2T),
-    ]
-    if not (n == 0 and v == 0):
-        bracket.append(("x" * (m + u), T2_MINUS_T))
-    _concat_into(out, bracket, stuffle_t(zp_pow(n), zp_pow(v)).items())
-    return Element._unsafe(out)
+    return _heads_rhs(
+        m, u, p, n, v, lambda a, b: stuffle_t(word_of_index((p,) * a), word_of_index((p,) * b))
+    )
 
 
 def head_tail_rhs(head: int, p: int, k: int, m: int) -> Element:
@@ -229,13 +179,7 @@ def head_tail_rhs(head: int, p: int, k: int, m: int) -> Element:
         raise BadParamsError(f"need head >= 2, p >= 1, k, m >= 0, got {(head, p, k, m)}")
     out: dict[str, TPoly] = {}
     for l in range(m + 1):
-        bracket: Bracket = [(word_of_index((p,) * l + (head,)), POLY_ONE)]
-        if l >= 1:
-            bracket.append((word_of_index((p,) * (l - 1) + (head + p,)), ONE_MINUS_2T))
-            if not (k == 0 and m == l):
-                bracket.append(
-                    (word_of_index((p,) * (l - 1)) + "x" * (head + p), T2_MINUS_T)
-                )
+        bracket = _passed("", p, l, head, k == 0 and m == l) if l else [(z_word(head), POLY_ONE)]
         inner = stuffle_t(word_of_index((p,) * k), word_of_index((p,) * (m - l)))
         _concat_into(out, bracket, inner.items())
     return Element._unsafe(out)
@@ -267,10 +211,7 @@ def pivot_rhs(idx1: Iterable[int], idx2: Iterable[int], j: int) -> Element:
         # the left side of cut i: plain·z_k, plus merged·bracket for i >= 1
         left = {ow + zk: oc for ow, oc in stuffle_o(prefix1, word_of_index(i2[:i])).items()}
         if i >= 1:
-            li = i2[i - 1]
-            bracket: Bracket = [(z_word(kj + li), ONE_MINUS_2T)]
-            if not (i == n and j == m):
-                bracket.append(("x" * (kj + li), T2_MINUS_T))
+            bracket = _merged("", kj + i2[i - 1], i == n and j == m)
             _concat_into(left, stuffle_o(prefix1, word_of_index(i2[: i - 1])).items(), bracket)
         _concat_into(out, left.items(), stuffle_t(suffix1, word_of_index(i2[i:])).items())
     return Element._unsafe(out)
@@ -403,8 +344,8 @@ def decomposition_numeric_check(
     """Numeric form of the decomposition: the product of the two interpolated
     values against the evaluated product Element and the evaluated explicit
     expansion, all at the same cutoff."""
-    if m < 2 or u < 2:
-        raise BadParamsError(f"numeric check needs admissible heads m, u >= 2, got {(m, u)}")
+    if m < 2 or u < 2 or p < 1 or n < 0 or v < 0:
+        raise BadParamsError(f"need m, u >= 2, p >= 1, n, v >= 0, got {(m, u, p, n, v)}")
     w1 = word_of_index((m,) + (p,) * n)
     w2 = word_of_index((u,) + (p,) * v)
     cfg = EvalConfig(cutoff, t0)

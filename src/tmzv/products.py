@@ -23,6 +23,7 @@ a copy: Elements are immutable, so no caller can change a shared entry.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import NotInH1Error
@@ -149,6 +150,8 @@ def stuffle_combinatorial(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
     p1 = _check_index(idx1)
     p2 = _check_index(idx2)
     n, m = len(p1), len(p2)
+    # prefix sums: the parts i..i+a-1 of p1 total s1[i + a] - s1[i]
+    s1, s2 = list(accumulate(p1, initial=0)), list(accumulate(p2, initial=0))
     # the coefficient of a run of a parts merged with b parts, built once
     factors = {
         (a, b): ONE_MINUS_2T * T2_MINUS_T ** (a - 1) if a == b else T2_MINUS_T ** min(a, b)
@@ -170,7 +173,7 @@ def stuffle_combinatorial(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
             for b in (a - 1, a, a + 1):
                 if b < 1 or b > m - j:
                     continue
-                total = sum(p1[i : i + a]) + sum(p2[j : j + b])
+                total = s1[i + a] - s1[i] + s2[j + b] - s2[j]
                 emit(i + a, j + b, prefix + z_word(total), coeff * factors[a, b])
 
     emit(0, 0, "", POLY_ONE)

@@ -14,8 +14,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .errors import BadParamsError
 from .exact import TPoly
 from .identities import (
     VerifyReport,
@@ -101,7 +102,9 @@ def admissible_indices(max_weight: int, max_depth: int) -> Iterator[tuple[int, .
 # independently built expansion
 
 
-def _product(left: Iterable[int], right: Iterable[int]) -> Element:
+def _product(left: Sequence[int], right: Sequence[int]) -> Element:
+    if any(part < 1 for part in (*left, *right)):
+        raise BadParamsError(f"index parts must be positive, got {list(left)} and {list(right)}")
     return stuffle_t(word_of_index(left), word_of_index(right))
 
 
@@ -297,7 +300,7 @@ def _prop_roundtrip(rng: random.Random) -> dict | None:
     again = Element.from_json_obj(elem.to_json_obj())
     if again != elem:
         return {"element": elem.to_json_obj()}
-    if elem.to_text() != elem.to_text():
+    if again.to_text() != elem.to_text():
         return {"element": elem.to_json_obj(), "law": "deterministic-text"}
     return None
 

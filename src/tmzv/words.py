@@ -148,10 +148,6 @@ class Element:
         poly = _as_poly(coeff)
         return cls._unsafe({} if poly.is_zero else {word: poly})
 
-    @classmethod
-    def from_index(cls, parts: Iterable[int], coeff: CoeffLike = POLY_ONE) -> "Element":
-        return cls.from_word(word_of_index(parts), coeff)
-
     def items(self) -> ItemsView[str, TPoly]:
         return self._terms.items()
 
@@ -213,9 +209,6 @@ class Element:
 
     def prepend_word(self, word: str) -> "Element":
         return Element._unsafe({word + w: c for w, c in self._terms.items()})
-
-    def append_word(self, word: str) -> "Element":
-        return Element._unsafe({w + word: c for w, c in self._terms.items()})
 
     def eval_at(self, t0: Fraction) -> "Element":
         """Specialize every coefficient at a rational point t0 (constants remain

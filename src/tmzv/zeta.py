@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DivergentError, NotInH0Error
+from .errors import BadParamsError, DivergentError, NotInH0Error
 from .interpolation import s_t
 from .words import Element, index_of_word
 
@@ -38,7 +38,7 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+            raise BadParamsError(f"cutoff must be >= 1, got {self.cutoff}")
 
 
 def _require_admissible(idx: Iterable[int]) -> tuple[int, ...]:

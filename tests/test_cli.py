@@ -1,11 +1,16 @@
 """CLI behavior: output formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmzv.cli import main
 from tmzv.products import stuffle_t
+from tmzv.sweeps import STATEMENTS
 from tmzv.words import Element
 from tmzv.zeta import EvalConfig, mzv
 
@@ -179,6 +184,26 @@ class TestUsageErrors:
             (["verify", "recursive", "--params", RECURSIVE, "--right", "2"], "no --left/--right"),
             (["verify", "recursive", "--params", RECURSIVE, "--t", "1/2"], "takes no --t"),
             (["verify", "pivot", "--left", "2", "--right", "3", "--t", "0"], "takes no --t"),
+            (["verify", "closed-form", "--params", RECURSIVE + ",q=9"], "no parameter 'q'"),
+            (
+                ["verify", "decomposition", "--params", RECURSIVE + ",cutoff=1000,t0=1"],
+                "from --cutoff, not --params",
+            ),
+            (["verify", "decomposition", "--params", RECURSIVE + ",t0=1"], "from --t, not --params"),
+            (["verify", "pivot", "--left", "2", "--right", "3", "--params", "left=1"], "from --left"),
+            (["verify", "recursive", "--params", RECURSIVE + ",t0=1"], "no parameter 't0'"),
+            (["zeta", "--index", "2", "--cutoff", "0"], "cutoff must be >= 1"),
+            (["verify", "box-map", "--cutoff", "0"], "cutoff must be >= 1"),
+            (["verify", "decomposition", "--params", RECURSIVE, "--cutoff", "0"], "cutoff must be >= 1"),
+            (["verify", "head-tail", "--params", "head=2,p=0,k=1,m=1"], "parts must be positive"),
+            (["verify", "recursive", "--params", "m=2,u=2,p=0,n=1,v=0"], "parts must be positive"),
+            (["verify", "power-product", "--params", "m=1,n=1,p=0"], "parts must be positive"),
+            (["verify", "decomposition", "--params", "m=2,u=2,p=0,n=1,v=0"], "p >= 1"),
+            (["zeta-t", "--index", "2,1,1", "--t", "1e300", "--cutoff", "10"], "overflows"),
+            (
+                ["zeta-t", "--index", "2,1,1", "--t", "1e300", "--cutoff", "10", "--method", "st"],
+                "overflows",
+            ),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):
@@ -204,6 +229,75 @@ class TestUsageErrors:
         assert code == 0
         reports = json.loads(out)
         assert reports and all(report["passed"] for report in reports)
+
+
+# an argv grammar of good and bad tokens; sizes stay small (--max and --cases
+# at most 1, cutoffs at most 1000, parameters at most 3) so that every drawn
+# argv runs well under a second
+_FLAGS = [
+    "--left", "--right", "--op", "--t", "--json", "--word", "--index", "--cutoff",
+    "--method", "--params", "--max", "--cases", "--seed", "--bogus",
+]
+_VALUES = [
+    "", "0", "1", "-1", "2,1", "2,1,1", "1,2", "3,1", "1,0", "x", "xyy", "xz", "t", "o", "st",
+    "classical", "boxes", "1/2", "1/0", "1e300", "1e400", "nan", "=", "m=2", "q=9",
+]
+_INDICES = ["", "1", "2", "2,1", "1,2,1", "0", "1,0", "x"]
+_T_VALUES = ["0", "1", "1/2", "-1", "1/0", "1e300", "1e400", "x"]
+_PAIRS = st.lists(st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)), max_size=2).map(
+    lambda pairs: [token for pair in pairs for token in pair]
+)
+_OFTEN = st.sampled_from([True, True, True, False])
+_RARELY = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def _verify_argvs(draw):
+    """``verify`` on a statement, mostly with the parameters and flags it
+    takes, at values from -1 to 3, sometimes with an unknown or misplaced one."""
+    single = [name for name, statement in STATEMENTS.items() if statement.needs]
+    others = ["all", "nonsense", *(name for name in STATEMENTS if name not in single)]
+    name = draw(st.sampled_from(single if draw(_OFTEN) else others))
+    statement = STATEMENTS.get(name)
+    known = [*statement.needs, *statement.optional] if statement else []
+    argv = ["verify", name, "--max", "1", "--cases", "1", "--cutoff", "1000"]
+    params = [
+        f"{key}={draw(st.sampled_from([2, 1, 0, 3, -1]))}"
+        for key in [*known, "q"]
+        if draw(_RARELY if key in ("q", "left", "right", "t0", "cutoff") else _OFTEN)
+    ]
+    if params or draw(_RARELY):
+        argv += ["--params", ",".join(params)]
+    flags = (("--left", "left", _INDICES), ("--right", "right", _INDICES), ("--t", "t0", _T_VALUES))
+    for flag, key, values in flags:
+        if draw(_OFTEN if key in known else _RARELY):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv + draw(_PAIRS)
+
+
+_OTHER_ARGVS = st.builds(
+    lambda prefix, pairs: prefix + pairs,
+    st.sampled_from(
+        [
+            ["product"], ["st"], ["zeta", "--cutoff", "1000"], ["zeta-star", "--cutoff", "1000"],
+            ["zeta-t", "--cutoff", "1000"], ["eq31"], ["zeta8", "--max", "1"], ["frobnicate"], [],
+        ]
+    ),
+    _PAIRS,
+)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_verify_argvs(), _OTHER_ARGVS))
+    def test_every_argv_exits_0_1_or_2(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert "error: " in err.getvalue().strip().splitlines()[-1]
 
 
 class TestParsing:

@@ -21,7 +21,7 @@ from tmzv.identities import (
     recursive_rhs,
 )
 from tmzv.products import stuffle_t
-from tmzv.sweeps import STATEMENTS
+from tmzv.sweeps import STATEMENTS, SweepArgs
 from tmzv.words import Element, word_of_index
 
 
@@ -87,6 +87,20 @@ class TestClosedForm:
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
             closed_form_rhs(1, 2, 1, 0, 0)
+
+    def test_never_calls_the_product_engine(self, monkeypatch):
+        import tmzv.identities as identities
+
+        def engine(*args):
+            raise AssertionError("the product engine was called")
+
+        monkeypatch.setattr(identities, "stuffle_t", engine)
+        monkeypatch.setattr(identities, "stuffle_o", engine)
+        for params in STATEMENTS["closed-form"].grid(SweepArgs(max_size=3)):
+            closed_form_rhs(**params)
+        # the same head split with engine tails does reach the patched engine
+        with pytest.raises(AssertionError):
+            recursive_rhs(2, 2, 1, 1, 0)
 
 
 class TestRecursive:

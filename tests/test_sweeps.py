@@ -10,6 +10,7 @@ import pytest
 from tmzv.cli import main
 from tmzv.identities import VerifyReport
 from tmzv.sweeps import STATEMENTS, SweepArgs, indices_up_to, run_statement
+from tmzv.words import Element
 from tmzv.zeta import clear_cache
 
 
@@ -113,3 +114,15 @@ class TestFailurePaths:
         assert code == 1
         assert "FIRST FAILURE" in out
         assert json.loads(out.splitlines()[-1]) == {"lhs": "0", "rhs": "1"}
+
+    def test_roundtrip_law_catches_order_dependent_text(self, monkeypatch):
+        # text in term insertion order changes over the JSON round trip, which
+        # inserts the terms in canonical order
+        def insertion_order_text(self):
+            return " + ".join(f"({coeff}) {word}" for word, coeff in self.items())
+
+        monkeypatch.setattr(Element, "to_text", insertion_order_text)
+        reports = run_statement("properties", cases=200)
+        roundtrip = next(r for r in reports if r.statement == "properties:roundtrip")
+        assert not roundtrip.passed
+        assert roundtrip.witness["law"] == "deterministic-text"
