@@ -42,7 +42,6 @@ from .products import (
 from .sweeps import STATEMENTS, Statement, run_statement
 from .words import (
     Element,
-    delta,
     display_word,
     index_of_word,
     is_admissible,

@@ -165,6 +165,8 @@ def _single_check(args: argparse.Namespace) -> VerifyReport:
         raise UsageError(f"verify {name} takes no --left/--right indices")
     if args.t is not None and "t0" not in statement.optional:
         raise UsageError(f"verify {name} takes no --t value")
+    if args.cutoff is not None and "cutoff" not in statement.optional:
+        raise UsageError(f"verify {name} takes no --cutoff value")
     known = (*statement.needs, *statement.optional)
     names = [key for key in known if key not in _PARAM_FLAGS]
     for key in params:

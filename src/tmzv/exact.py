@@ -9,9 +9,12 @@ and only a value with denominator above 1 is a ``Fraction``. Every product
 and right-hand side the word algebra builds lies in Z[t], so the kernel runs
 on ``int`` arithmetic, which is several times cheaper than ``Fraction``; a
 ``Fraction`` appears only where a rational point or a rational constant
-brings in a denominator. Both types have ``numerator``/``denominator`` and
-compare and hash alike across the two forms (``2 == Fraction(2)``), so
-serialization and equality do not depend on the form a caller passed in.
+brings in a denominator. Evaluating an integer polynomial at a rational
+point p/q stays on ints too: Horner's rule accumulates the numerator with
+powers of q as the scale, and one ``Fraction`` division by q^deg reduces it.
+Both types have ``numerator``/``denominator`` and compare and hash alike
+across the two forms (``2 == Fraction(2)``), so serialization and equality
+do not depend on the form a caller passed in.
 ``GaussianRational`` adjoins the imaginary unit for the one identity that
 needs powers of sqrt(-1).
 
@@ -87,6 +90,14 @@ class TPoly:
         self.coeffs: tuple[Fraction | int, ...] = tuple(cs)
 
     @classmethod
+    def _normal(cls, coeffs: tuple[Fraction | int, ...]) -> "TPoly":
+        """Wrap coefficients that are already in normal form, with no trailing
+        zero, skipping the pass of ``__init__``."""
+        poly = cls.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
+
+    @classmethod
     def const(cls, c: Fraction | int) -> "TPoly":
         return cls((c,))
 
@@ -114,7 +125,7 @@ class TPoly:
         return TPoly(out)
 
     def __neg__(self) -> "TPoly":
-        return TPoly(tuple(-c for c in self.coeffs))
+        return TPoly._normal(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "TPoly") -> "TPoly":
         if not isinstance(other, TPoly):
@@ -126,7 +137,15 @@ class TPoly:
             if not isinstance(other, (Fraction, int)):
                 return NotImplemented
             other = _canon(other)
-            return self if other == 1 else TPoly(tuple(c * other for c in self.coeffs))
+            if other == 1:
+                return self
+            if type(other) is int and other:
+                # an int times a nonzero int is a nonzero int; only a
+                # Fraction coefficient can become integral
+                return TPoly._normal(
+                    tuple(c * other if type(c) is int else _canon(c * other) for c in self.coeffs)
+                )
+            return TPoly(tuple(c * other for c in self.coeffs))
         if self.coeffs == _UNIT:
             return other
         if other.coeffs == _UNIT:
@@ -159,13 +178,25 @@ class TPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def eval(self, t0: Fraction) -> Fraction | int:
-        """Exact Horner evaluation at a rational point, in normal form."""
+    def eval(self, t0: Fraction | int) -> Fraction | int:
+        """Exact Horner evaluation at a rational point, in normal form.
+
+        At t0 = p/q with q > 1 and int coefficients, the sum of c_d p^d
+        q^(deg-d) is accumulated on ints and divided by q^deg once, so the
+        loop makes no ``Fraction`` (each of whose operations takes a gcd)."""
         t0 = _canon(t0)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t0 + c
-        return _canon(acc)
+        cs = self.coeffs
+        if not cs or type(t0) is int or not all(type(c) is int for c in cs):
+            acc = 0
+            for c in reversed(cs):
+                acc = acc * t0 + c
+            return _canon(acc)
+        p, q = t0.numerator, t0.denominator
+        acc, scale = 0, 1
+        for c in reversed(cs):
+            acc = acc * p + c * scale
+            scale *= q
+        return _canon(Fraction(acc, scale // q))
 
     def eval_float(self, t0: float) -> float:
         acc = 0.0
@@ -175,7 +206,7 @@ class TPoly:
 
     def to_json(self) -> list[str]:
         """Coefficients as "num/den" strings, ascending powers of t."""
-        return [format_rational(c) for c in self.coeffs]
+        return [f"{c}/1" if type(c) is int else format_rational(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, items: Iterable[str]) -> "TPoly":

@@ -20,6 +20,7 @@ without special-casing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -354,6 +355,8 @@ def decomposition_numeric_check(
         "engine": z_t_eval(stuffle_t(w1, w2), cfg),
         "explicit": z_t_eval(closed_form_rhs(m, u, p, n, v), cfg),
     }
+    if not all(map(math.isfinite, values.values())):
+        raise BadParamsError(f"decomposition at t0={t0!r} overflows the float range")
     return numeric_comparison(
         "decomposition",
         {"m": m, "u": u, "p": p, "n": n, "v": v, "t0": t0, "cutoff": cutoff},

@@ -66,11 +66,6 @@ def index_of_word(word: str) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def delta(word: str) -> int:
-    """Indicator of the empty word."""
-    return 1 if word == "" else 0
-
-
 def weight(parts: Iterable[int]) -> int:
     return sum(parts)
 
@@ -79,9 +74,12 @@ def is_admissible(parts: tuple[int, ...]) -> bool:
     return len(parts) > 0 and parts[0] >= 2 and all(k >= 1 for k in parts)
 
 
-def _canonical_key(word: str) -> tuple[int, str]:
-    # length-lexicographic: deterministic display and serialization order
-    return (len(word), word)
+def _sorted_words(words: Iterable[str]) -> list[str]:
+    """Length-lexicographic order, the deterministic display and serialization
+    order: a lexicographic sort, then a stable one by length."""
+    out = sorted(words)
+    out.sort(key=len)
+    return out
 
 
 def _iadd(terms: dict[str, TPoly], word: str, coeff: TPoly) -> None:
@@ -99,11 +97,25 @@ Term = tuple[str, TPoly]
 def _concat_into(out: dict[str, TPoly], left: Iterable[Term], right: Collection[Term]) -> None:
     """The concatenation kernel: ``out += left · right``, adding ``c1 * c2``
     under ``w1 + w2`` for every pair of terms and skipping the multiplication
-    when a left coefficient is 1. ``right`` is walked once per left term."""
+    when a left coefficient is 1. ``right`` is walked once per left term.
+    This is the one accumulate loop of the word algebra, so it adds inline
+    rather than through :func:`_iadd`; both sides hold nonzero coefficients,
+    so only an add can cancel a word."""
+    get = out.get
     for w1, c1 in left:
         unit = c1.coeffs == _UNIT
         for w2, c2 in right:
-            _iadd(out, w1 + w2, c2 if unit else c1 * c2)
+            word = w1 + w2
+            coeff = c2 if unit else c1 * c2
+            cur = get(word)
+            if cur is None:
+                out[word] = coeff
+            else:
+                coeff = cur + coeff
+                if coeff.coeffs:
+                    out[word] = coeff
+                else:
+                    del out[word]
 
 
 CoeffLike = TPoly | Fraction | int
@@ -152,10 +164,11 @@ class Element:
         return self._terms.items()
 
     def sorted_items(self) -> list[tuple[str, TPoly]]:
-        return sorted(self._terms.items(), key=lambda kv: _canonical_key(kv[0]))
+        terms = self._terms
+        return [(word, terms[word]) for word in _sorted_words(terms)]
 
     def words(self) -> list[str]:
-        return sorted(self._terms, key=_canonical_key)
+        return _sorted_words(self._terms)
 
     def coeff(self, word: str) -> TPoly:
         return self._terms.get(word, POLY_ZERO)
@@ -207,17 +220,14 @@ class Element:
         _concat_into(out, self._terms.items(), other._terms.items())
         return Element._unsafe(out)
 
-    def prepend_word(self, word: str) -> "Element":
-        return Element._unsafe({word + w: c for w, c in self._terms.items()})
-
     def eval_at(self, t0: Fraction) -> "Element":
         """Specialize every coefficient at a rational point t0 (constants remain
         as degree-0 polynomials; vanishing terms are pruned)."""
         out: dict[str, TPoly] = {}
         for word, coeff in self._terms.items():
             value = coeff.eval(t0)
-            if value != 0:
-                out[word] = TPoly.const(value)
+            if value:
+                out[word] = TPoly._normal((value,))
         return Element._unsafe(out)
 
     @staticmethod

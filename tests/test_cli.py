@@ -161,6 +161,7 @@ class TestScalarIdentityCommands:
 
 
 RECURSIVE = "m=2,u=2,p=1,n=1,v=0"
+HEADS = "m=2,u=2,p=1,n=1,v=1"
 
 
 class TestUsageErrors:
@@ -204,6 +205,12 @@ class TestUsageErrors:
                 ["zeta-t", "--index", "2,1,1", "--t", "1e300", "--cutoff", "10", "--method", "st"],
                 "overflows",
             ),
+            (
+                ["verify", "decomposition", "--params", HEADS, "--t", "1e200", "--cutoff", "100"],
+                "overflows the float range",
+            ),
+            (["verify", "recursive", "--params", HEADS, "--cutoff", "0"], "takes no --cutoff"),
+            (["verify", "pivot", "--left", "2", "--right", "3", "--cutoff", "1000"], "takes no --cutoff"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):
@@ -233,7 +240,10 @@ class TestUsageErrors:
 
 # an argv grammar of good and bad tokens; sizes stay small (--max and --cases
 # at most 1, cutoffs at most 1000, parameters at most 3) so that every drawn
-# argv runs well under a second
+# argv runs well under a second. A run that may use a cutoff (a sweep, or a
+# statement that takes one) always gets --cutoff 1000; a single check of a
+# statement without a cutoff gets one only rarely, as it gets a stray --t, so
+# that it mostly runs and passes and sometimes hits the usage error
 _FLAGS = [
     "--left", "--right", "--op", "--t", "--json", "--word", "--index", "--cutoff",
     "--method", "--params", "--max", "--cases", "--seed", "--bogus",
@@ -260,7 +270,7 @@ def _verify_argvs(draw):
     name = draw(st.sampled_from(single if draw(_OFTEN) else others))
     statement = STATEMENTS.get(name)
     known = [*statement.needs, *statement.optional] if statement else []
-    argv = ["verify", name, "--max", "1", "--cases", "1", "--cutoff", "1000"]
+    argv = ["verify", name, "--max", "1", "--cases", "1"]
     params = [
         f"{key}={draw(st.sampled_from([2, 1, 0, 3, -1]))}"
         for key in [*known, "q"]
@@ -272,6 +282,8 @@ def _verify_argvs(draw):
     for flag, key, values in flags:
         if draw(_OFTEN if key in known else _RARELY):
             argv += [flag, draw(st.sampled_from(values))]
+    if name not in single or "cutoff" in known or draw(_RARELY):
+        argv += ["--cutoff", "1000"]
     return argv + draw(_PAIRS)
 
 

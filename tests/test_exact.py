@@ -196,6 +196,7 @@ class TestNormalForm:
         _check(a * q, _ref([c * q for c in ra]))
         _check(q * a, _ref([c * q for c in ra]))
         _check(a * 3, _ref([c * 3 for c in ra]))
+        _check(a * -4, _ref([c * -4 for c in ra]))
         want = [Fraction(1)]
         for _ in range(n):
             want = _ref_mul(want, ra)
@@ -217,6 +218,11 @@ class TestNormalForm:
         assert TPoly((Fraction(2),)) == TPoly((2,))
         assert hash(TPoly((Fraction(2),))) == hash(TPoly((2,)))
         assert type((TPoly((Fraction(1, 2),)) * 2).coeffs[0]) is int
+
+    @given(mixed_coeffs)
+    def test_json_is_format_rational_of_each_coefficient(self, cs):
+        p = TPoly(cs)
+        assert p.to_json() == [format_rational(Fraction(c)) for c in p.coeffs]
 
     def test_json_keeps_denominator(self):
         assert TPoly((Fraction(2), -3)).to_json() == ["2/1", "-3/1"]

@@ -157,10 +157,10 @@ class TestStuffleOpen:
             k, l = w1.index("y") + 1, w2.index("y") + 1
             rest = reference(w1[k:], w2[l:])
             return (
-                reference(w1[k:], w2).prepend_word(w1[:k])
-                + reference(w1, w2[l:]).prepend_word(w2[:l])
-                + rest.prepend_word("x" * (k + l - 1) + "y").scale(ONE_MINUS_2T)
-                + rest.prepend_word("x" * (k + l)).scale(T2_MINUS_T)
+                Element.from_word(w1[:k]) * reference(w1[k:], w2)
+                + Element.from_word(w2[:l]) * reference(w1, w2[l:])
+                + Element.from_word("x" * (k + l - 1) + "y", ONE_MINUS_2T) * rest
+                + Element.from_word("x" * (k + l), T2_MINUS_T) * rest
             )
 
         clear_caches()

@@ -9,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tmzv.errors import NotInH1Error
-from tmzv.exact import ONE_MINUS_2T, POLY_ONE, POLY_ZERO, T2_MINUS_T, TPoly
+from tmzv.exact import ONE_MINUS_2T, POLY_ONE, POLY_T, POLY_ZERO, T2_MINUS_T, TPoly
 from tmzv.words import (
     Element,
-    delta,
+    _concat_into,
     display_word,
     index_of_word,
     is_admissible,
@@ -35,6 +35,14 @@ mixed_coeffs = st.one_of(
     small_coeffs,
 )
 mixed_elements = st.lists(st.tuples(raw_words, mixed_coeffs), max_size=6).map(Element)
+vanishing_coeffs = st.lists(
+    st.tuples(raw_words, st.one_of(st.just(POLY_ZERO), mixed_coeffs)), max_size=3
+)
+# p/q with p of either sign and q in 1..9, and the points 0 and 1
+points = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.sampled_from([Fraction(0), Fraction(1), 0, 1]),
+)
 
 
 class TestWords:
@@ -66,11 +74,6 @@ class TestWords:
         for depth in range(7):
             for idx in product(range(1, 7), repeat=depth):
                 assert index_of_word(word_of_index(idx)) == idx
-
-    def test_delta(self):
-        assert delta("") == 1
-        assert delta("xy") == 0
-        assert delta("y") == 0
 
     def test_admissible_and_weight(self):
         assert is_admissible((2, 1))
@@ -134,9 +137,41 @@ class TestElement:
         assert Element.from_word("xxy", T2_MINUS_T).eval_at(Fraction(0)).is_zero
         assert e.eval_at(Fraction(0)) == Element.from_word("xxxxy")
 
+    @given(mixed_elements, vanishing_coeffs, points)
+    def test_eval_at_matches_fraction_horner(self, e, extra, t0):
+        # extra terms mix zero polynomials (pruned on entry) with ones that
+        # vanish at t0, which eval_at must prune
+        e = e + Element([(w, c * TPoly((-t0.numerator, t0.denominator))) for w, c in extra])
+        want = {}
+        for word, coeff in e.items():
+            value = Fraction(0)
+            for c in reversed(coeff.coeffs):
+                value = value * t0 + Fraction(c)
+            if value:
+                want[word] = value
+        got = e.eval_at(t0)
+        assert dict(got.items()) == {w: TPoly((v,)) for w, v in want.items()}
+        for _, coeff in got.items():
+            (value,) = coeff.coeffs
+            assert type(value) is (int if value.denominator == 1 else Fraction)
+
     def test_canonical_order_is_length_lex(self):
         e = Element([("yy", TPoly((1,))), ("y", TPoly((1,))), ("xy", TPoly((1,)))])
         assert [w for w, _ in e.sorted_items()] == ["y", "xy", "yy"]
+
+    @given(mixed_elements)
+    def test_sorted_items_by_length_then_word(self, e):
+        want = sorted(e.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        assert e.sorted_items() == want
+        assert e.words() == [w for w, _ in want]
+
+    def test_concat_kernel_deletes_a_cancelled_word(self):
+        # the unit branch and the multiplying branch each cancel a word
+        out = {"xy": TPoly((1,)), "xxy": TPoly((0, 2)), "y": TPoly((5,))}
+        _concat_into(out, [("x", POLY_ONE)], [("y", TPoly((-1,)))])
+        assert out == {"xxy": TPoly((0, 2)), "y": TPoly((5,))}
+        _concat_into(out, [("xx", POLY_T)], [("y", TPoly((-2,)))])
+        assert out == {"y": TPoly((5,))}
 
     def test_text_rendering(self):
         e = Element([("xyy", TPoly((1, -2))), ("xx", TPoly((0, -1, 1)))])
