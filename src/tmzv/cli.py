@@ -326,7 +326,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_t(argv: list[str]) -> list[str]:
+    """Glue a negative t value to its flag, ``--t -3/4`` to ``--t=-3/4``:
+    argparse reads a token that starts with ``-`` and is not a plain
+    negative number as a flag, and would leave ``--t`` without a value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--t" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--t={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = _join_negative_t(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -158,7 +158,12 @@ class TPoly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return TPoly(out)
+        for c in out:
+            if type(c) is not int:  # a Fraction operand; the sum may be integral
+                return TPoly(out)
+        # an int-only product is in normal form already: its leading
+        # coefficient is the product of the two nonzero leading ones
+        return TPoly._normal(tuple(out))
 
     __rmul__ = __mul__
 

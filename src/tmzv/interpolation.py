@@ -21,7 +21,9 @@ from .words import Element, _iadd, validate_word
 def _sigma_word(word: str, c: TPoly) -> dict[str, TPoly]:
     # Each y independently stays y or becomes x with factor c, so every
     # expanded word is reached along exactly one path: no accumulation needed.
+    # The paths carry the few powers of c, so each q * c is formed once.
     pairs: dict[str, TPoly] = {"": POLY_ONE}
+    times_c: dict[tuple, TPoly] = {}  # q.coeffs -> q * c
     for ch in word:
         nxt: dict[str, TPoly] = {}
         if ch == "x":
@@ -30,7 +32,9 @@ def _sigma_word(word: str, c: TPoly) -> dict[str, TPoly]:
         else:
             for w, q in pairs.items():
                 nxt[w + "y"] = q
-                scaled = q * c
+                scaled = times_c.get(q.coeffs)
+                if scaled is None:
+                    scaled = times_c[q.coeffs] = q * c
                 if not scaled.is_zero:
                     nxt[w + "x"] = scaled
         pairs = nxt

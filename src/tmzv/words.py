@@ -14,6 +14,14 @@ absorption automatic.
 Elements are treated as immutable; every operation builds a new value, and
 nothing outside this module touches their terms. That is what lets the
 products return their memoized Elements shared instead of copied.
+
+A product or evaluation holds few distinct coefficients, since each is a sum
+of products of (1 - 2t) and (t^2 - t) over merge patterns, so the per-term
+loops compute once per distinct coefficient with a memo local to the call.
+The memos key on the coefficient tuple ``TPoly.coeffs``, never on ``id()``:
+normal form (ints where integral, no trailing zero) makes that tuple equal
+exactly when the polynomials are equal, and the values it maps to are
+immutable, so terms may share them.
 """
 
 from __future__ import annotations
@@ -97,16 +105,26 @@ Term = tuple[str, TPoly]
 def _concat_into(out: dict[str, TPoly], left: Iterable[Term], right: Collection[Term]) -> None:
     """The concatenation kernel: ``out += left · right``, adding ``c1 * c2``
     under ``w1 + w2`` for every pair of terms and skipping the multiplication
-    when a left coefficient is 1. ``right`` is walked once per left term.
-    This is the one accumulate loop of the word algebra, so it adds inline
-    rather than through :func:`_iadd`; both sides hold nonzero coefficients,
-    so only an add can cancel a word."""
+    when a left coefficient is 1. ``right`` is walked once per left term, and
+    each distinct pair of coefficients is multiplied once. This is the one
+    accumulate loop of the word algebra, so it adds inline rather than
+    through :func:`_iadd`; both sides hold nonzero coefficients, so only an
+    add can cancel a word."""
     get = out.get
+    # c1.coeffs -> c2.coeffs -> c1 * c2
+    products: dict[tuple, dict[tuple, TPoly]] = {}
     for w1, c1 in left:
         unit = c1.coeffs == _UNIT
+        if not unit:
+            row = products.setdefault(c1.coeffs, {})
         for w2, c2 in right:
             word = w1 + w2
-            coeff = c2 if unit else c1 * c2
+            if unit:
+                coeff = c2
+            else:
+                coeff = row.get(c2.coeffs)
+                if coeff is None:
+                    coeff = row[c2.coeffs] = c1 * c2
             cur = get(word)
             if cur is None:
                 out[word] = coeff
@@ -224,10 +242,17 @@ class Element:
         """Specialize every coefficient at a rational point t0 (constants remain
         as degree-0 polynomials; vanishing terms are pruned)."""
         out: dict[str, TPoly] = {}
+        consts: dict[tuple, TPoly] = {}  # coefficient -> its value as a constant
+        shared: dict[Fraction | int, TPoly] = {}  # value -> the one constant holding it
         for word, coeff in self._terms.items():
-            value = coeff.eval(t0)
-            if value:
-                out[word] = TPoly._normal((value,))
+            const = consts.get(coeff.coeffs)
+            if const is None:
+                value = coeff.eval(t0)
+                const = consts[coeff.coeffs] = (
+                    shared.setdefault(value, TPoly._normal((value,))) if value else POLY_ZERO
+                )
+            if const:
+                out[word] = const
         return Element._unsafe(out)
 
     @staticmethod
@@ -246,12 +271,15 @@ class Element:
         return " + ".join(f"({coeff}) {display_word(word)}" for word, coeff in self.sorted_items())
 
     def to_json_obj(self) -> dict:
-        return {
-            "terms": [
-                {"word": word, "coeff": coeff.to_json()}
-                for word, coeff in self.sorted_items()
-            ]
-        }
+        # each term gets its own list, so that no two terms alias
+        strings: dict[tuple, list[str]] = {}
+        terms = []
+        for word, coeff in self.sorted_items():
+            text = strings.get(coeff.coeffs)
+            if text is None:
+                text = strings[coeff.coeffs] = coeff.to_json()
+            terms.append({"word": word, "coeff": text[:]})
+        return {"terms": terms}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Element":

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
 from .errors import BadParamsError, DivergentError, NotInH0Error
 from .interpolation import s_t
 from .words import Element, index_of_word
@@ -50,6 +48,8 @@ def _require_admissible(idx: Iterable[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _truncated(parts: tuple[int, ...], cutoff: int, strict: bool) -> float:
+    import numpy as np  # loaded on first evaluation, so the exact paths start without it
+
     vals = np.arange(1, cutoff + 1, dtype=np.float64)
     cur = None
     for k in reversed(parts):

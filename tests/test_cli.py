@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tmzv
 from tmzv.cli import main
 from tmzv.products import stuffle_t
 from tmzv.sweeps import STATEMENTS
@@ -253,7 +258,7 @@ _VALUES = [
     "classical", "boxes", "1/2", "1/0", "1e300", "1e400", "nan", "=", "m=2", "q=9",
 ]
 _INDICES = ["", "1", "2", "2,1", "1,2,1", "0", "1,0", "x"]
-_T_VALUES = ["0", "1", "1/2", "-1", "1/0", "1e300", "1e400", "x"]
+_T_VALUES = ["0", "1", "1/2", "-1", "1/0", "1e300", "1e400", "x", "-3/4", "-1/2"]
 _PAIRS = st.lists(st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)), max_size=2).map(
     lambda pairs: [token for pair in pairs for token in pair]
 )
@@ -310,6 +315,50 @@ class TestArgvFuzz:
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert "error: " in err.getvalue().strip().splitlines()[-1]
+
+
+class TestNegativeT:
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["product", "--left", "2,1", "--right", "3"], "-3/4"),
+            (["product", "--left", "2,1", "--right", "3", "--op", "o", "--json"], "-1/2"),
+            (["zeta-t", "--index", "2,1", "--cutoff", "100"], "-3/4"),
+            (["zeta-t", "--index", "2,1", "--cutoff", "100", "--method", "st"], "-1e-1"),
+            (["verify", "decomposition", "--params", HEADS, "--cutoff", "100"], "-1/2"),
+        ],
+    )
+    def test_spaced_value_reads_as_joined(self, capsys, argv, value):
+        spaced = run(capsys, *argv, "--t", value)
+        assert spaced == run(capsys, *argv, f"--t={value}")
+        code, out, err = spaced
+        assert code == 0 and out and not err
+
+    def test_flag_after_t_is_still_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "product", "--left", "2", "--right", "3", "--t", "--json")
+        assert code == 2
+        assert out == ""
+        assert "--t: expected one argument" in err.strip().splitlines()[-1]
+
+
+class TestLazyNumpy:
+    def test_exact_commands_do_not_load_numpy(self):
+        # numpy is loaded on the first truncated evaluation, not on import
+        script = (
+            "import sys, contextlib, io, tmzv, tmzv.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    tmzv.cli.main(['--help'])\n"
+            "    assert tmzv.cli.main(['product', '--left', '2,1', '--right', '3']) == 0\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert tmzv.cli.main(['zeta', '--index', '2', '--cutoff', '10']) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        src = str(Path(tmzv.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestParsing:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from tmzv.exact import POLY_T, TPoly
 from tmzv.interpolation import s_t, sigma_t
 from tmzv.words import Element
@@ -13,6 +15,30 @@ def all_words(max_len):
     for length in range(1, max_len + 1):
         for letters in product("xy", repeat=length):
             yield "".join(letters)
+
+
+def per_path(word, c, fixed_last):
+    """The substitution summed path by path, with c^k rebuilt for each path:
+    every subset of the substituted y letters turns into x."""
+    head, last = (word[:-1], word[-1]) if fixed_last and word else (word, "")
+    ys = [i for i, ch in enumerate(head) if ch == "y"]
+    terms = []
+    for picks in product((False, True), repeat=len(ys)):
+        letters = list(head)
+        coeff = TPoly((1,))
+        for i, pick in zip(ys, picks):
+            if pick:
+                letters[i] = "x"
+                coeff = coeff * TPoly(c.coeffs)
+        terms.append(("".join(letters) + last, coeff))
+    return Element(terms)
+
+
+@pytest.mark.parametrize("c", [POLY_T, TPoly.const(Fraction(-3, 2)), TPoly.const(0)])
+def test_maps_match_per_path_reference(c):
+    for word in all_words(8):
+        assert sigma_t(word, c) == per_path(word, c, fixed_last=False), word
+        assert s_t(word, c) == per_path(word, c, fixed_last=True), word
 
 
 class TestSigma:

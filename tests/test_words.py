@@ -38,6 +38,21 @@ mixed_elements = st.lists(st.tuples(raw_words, mixed_coeffs), max_size=6).map(El
 vanishing_coeffs = st.lists(
     st.tuples(raw_words, st.one_of(st.just(POLY_ZERO), mixed_coeffs)), max_size=3
 )
+# a few coefficient values and their negatives, each term holding its own
+# TPoly object of one of them: the kernels memoize by value, so equal
+# coefficients in distinct objects, different ones in turn, and sums that
+# cancel must all come out as the plain per-term loops give them
+coeff_pools = st.lists(mixed_coeffs.filter(bool), min_size=1, max_size=3).map(
+    lambda values: values + [-c for c in values]
+)
+
+
+def pool_terms(pool):
+    return st.lists(st.tuples(raw_words, st.sampled_from(pool)), max_size=6).map(
+        lambda terms: [(w, TPoly(c.coeffs)) for w, c in terms]
+    )
+
+
 # p/q with p of either sign and q in 1..9, and the points 0 and 1
 points = st.one_of(
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
@@ -155,6 +170,32 @@ class TestElement:
             (value,) = coeff.coeffs
             assert type(value) is (int if value.denominator == 1 else Fraction)
 
+    @given(st.data(), points)
+    def test_eval_at_once_per_coefficient(self, data, t0):
+        # the pool holds a coefficient that vanishes at t0 and one equal in
+        # value to another at t0, so pruning and sharing both run
+        pool = data.draw(coeff_pools)
+        root = TPoly((-t0.numerator, t0.denominator))
+        pool += [pool[0] * root, pool[0] + root]
+        e = Element(data.draw(pool_terms(pool)))
+        want = {w: c.eval(t0) for w, c in e.items()}
+        got = e.eval_at(t0)
+        assert dict(got.items()) == {w: TPoly((v,)) for w, v in want.items() if v}
+        consts = [c for _, c in got.items()]
+        assert len({id(c) for c in consts}) == len({c.coeffs for c in consts})
+
+    @given(st.data())
+    def test_json_once_per_coefficient(self, data):
+        e = Element(data.draw(pool_terms(data.draw(coeff_pools))))
+        got = e.to_json_obj()
+        want = [{"word": w, "coeff": c.to_json()} for w, c in e.sorted_items()]
+        assert got == {"terms": want}
+        if got["terms"]:
+            # no two terms share a list, and no call shares one with the next
+            got["terms"][0]["coeff"].append("9/1")
+            assert got["terms"][1:] == want[1:]
+            assert e.to_json_obj() == {"terms": want}
+
     def test_canonical_order_is_length_lex(self):
         e = Element([("yy", TPoly((1,))), ("y", TPoly((1,))), ("xy", TPoly((1,)))])
         assert [w for w, _ in e.sorted_items()] == ["y", "xy", "yy"]
@@ -164,6 +205,19 @@ class TestElement:
         want = sorted(e.items(), key=lambda kv: (len(kv[0]), kv[0]))
         assert e.sorted_items() == want
         assert e.words() == [w for w, _ in want]
+
+    @given(st.data())
+    def test_concat_kernel_matches_naive_double_loop(self, data):
+        pool = data.draw(coeff_pools)
+        start, left, right = (data.draw(pool_terms(pool)) for _ in range(3))
+        out = dict(Element(start).items())
+        want = Element._unsafe(dict(out))
+        for w1, c1 in left:
+            for w2, c2 in right:
+                want = want + Element.from_word(w1 + w2, c1 * c2)
+        _concat_into(out, left, right)
+        assert out == dict(want.items())
+        assert all(out.values())
 
     def test_concat_kernel_deletes_a_cancelled_word(self):
         # the unit branch and the multiplying branch each cancel a word
