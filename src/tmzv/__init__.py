@@ -3,16 +3,12 @@ interpolation maps, truncated evaluators, and identity verification."""
 
 from .errors import BadParamsError, DivergentError, NotInH0Error, NotInH1Error
 from .exact import (
-    GaussianRational,
     ONE_MINUS_2T,
     POLY_ONE,
     POLY_T,
     POLY_ZERO,
-    Rational,
     T2_MINUS_T,
     TPoly,
-    binom,
-    factorial,
     format_rational,
     parse_rational,
 )

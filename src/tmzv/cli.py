@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success / all checks pass, 1 when a verification fails, 2 on
 usage errors (malformed indices or words, non-admissible index for an
-evaluator, unknown flags).
+evaluator, unknown flags). Every usage error, argparse's own included, prints
+one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from typing import NoReturn
 
 from .errors import BadParamsError, DivergentError, NotInH0Error, NotInH1Error
 from .identities import VerifyReport
@@ -24,6 +26,14 @@ from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`UsageError` instead
+    of printing the usage block; its subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
@@ -272,7 +282,7 @@ def _cmd_zeta8(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tmzv",
         description="Interpolated multiple zeta values: deformed stuffle products, "
         "interpolation map, truncated evaluators, and identity verification.",
@@ -343,9 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = _join_negative_t(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         if args.command == "product":
             return _cmd_product(args)
         if args.command == "st":
@@ -363,6 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "zeta8":
             return _cmd_zeta8(args)
         raise UsageError(f"unknown command {args.command!r}")
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (UsageError, BadParamsError, DivergentError, NotInH0Error, NotInH1Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

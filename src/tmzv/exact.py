@@ -1,9 +1,9 @@
-"""Exact scalar arithmetic: rationals, dense polynomials in t, Gaussian rationals.
+"""Exact scalar arithmetic: rationals and dense polynomials in t.
 
 Rationals are plain :class:`fractions.Fraction` values (arbitrary precision,
-stored normalized with positive denominator), re-exported as ``Rational``.
-``TPoly`` is a dense polynomial in the interpolation variable t with rational
-coefficients, the coefficient ring for everything the word algebra does.
+stored normalized with positive denominator). ``TPoly`` is a dense polynomial
+in the interpolation variable t with rational coefficients, the coefficient
+ring for everything the word algebra does.
 Its coefficients have one normal form: an integral value is a plain ``int``
 and only a value with denominator above 1 is a ``Fraction``. Every product
 and right-hand side the word algebra builds lies in Z[t], so the kernel runs
@@ -15,8 +15,6 @@ powers of q as the scale, and one ``Fraction`` division by q^deg reduces it.
 Both types have ``numerator``/``denominator`` and compare and hash alike
 across the two forms (``2 == Fraction(2)``), so serialization and equality
 do not depend on the form a caller passed in.
-``GaussianRational`` adjoins the imaginary unit for the one identity that
-needs powers of sqrt(-1).
 
 All values are immutable and all operations are pure, so they can be shared
 freely between threads.
@@ -24,15 +22,8 @@ freely between threads.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-Rational = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def format_rational(q: Fraction) -> str:
@@ -47,19 +38,6 @@ def parse_rational(text: str) -> Fraction:
         num, den = s.split("/", 1)
         return Fraction(int(num), int(den))
     return Fraction(int(s))
-
-
-def factorial(n: int) -> Fraction:
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    return Fraction(math.factorial(n))
-
-
-def binom(a: int, b: int) -> Fraction:
-    """Binomial coefficient with the zero convention outside 0 <= b <= a."""
-    if a < 0 or b < 0 or b > a:
-        return _ZERO
-    return Fraction(math.comb(a, b))
 
 
 def _canon(c: Fraction | int) -> Fraction | int:
@@ -186,22 +164,16 @@ class TPoly:
     def eval(self, t0: Fraction | int) -> Fraction | int:
         """Exact Horner evaluation at a rational point, in normal form.
 
-        At t0 = p/q with q > 1 and int coefficients, the sum of c_d p^d
-        q^(deg-d) is accumulated on ints and divided by q^deg once, so the
-        loop makes no ``Fraction`` (each of whose operations takes a gcd)."""
+        At t0 = p/q (q = 1 for an int) the sum of c_d p^d q^(deg-d) is
+        accumulated with powers of q as the scale and divided by q^deg once:
+        int coefficients make no ``Fraction`` in the loop, others pass exactly."""
         t0 = _canon(t0)
-        cs = self.coeffs
-        if not cs or type(t0) is int or not all(type(c) is int for c in cs):
-            acc = 0
-            for c in reversed(cs):
-                acc = acc * t0 + c
-            return _canon(acc)
         p, q = t0.numerator, t0.denominator
         acc, scale = 0, 1
-        for c in reversed(cs):
+        for c in reversed(self.coeffs):
             acc = acc * p + c * scale
             scale *= q
-        return _canon(Fraction(acc, scale // q))
+        return _canon(Fraction(acc, scale // q)) if self.coeffs else 0
 
     def eval_float(self, t0: float) -> float:
         acc = 0.0
@@ -251,40 +223,3 @@ POLY_T = TPoly((0, 1))
 ONE_MINUS_2T = TPoly((1, -2))
 T2_MINUS_T = TPoly((0, -1, 1))
 
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element of Q(i) with componentwise equality."""
-
-    re: Fraction = _ZERO
-    im: Fraction = _ZERO
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    @staticmethod
-    def i_power(e: int) -> "GaussianRational":
-        """The imaginary unit raised to an integer power."""
-        table = (
-            GaussianRational(_ONE, _ZERO),
-            GaussianRational(_ZERO, _ONE),
-            GaussianRational(-_ONE, _ZERO),
-            GaussianRational(_ZERO, -_ONE),
-        )
-        return table[e % 4]

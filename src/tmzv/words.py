@@ -169,10 +169,6 @@ class Element:
         return cls._unsafe({})
 
     @classmethod
-    def one(cls) -> "Element":
-        return cls._unsafe({"": POLY_ONE})
-
-    @classmethod
     def from_word(cls, word: str, coeff: CoeffLike = POLY_ONE) -> "Element":
         validate_word(word)
         poly = _as_poly(coeff)
@@ -187,9 +183,6 @@ class Element:
 
     def words(self) -> list[str]:
         return _sorted_words(self._terms)
-
-    def coeff(self, word: str) -> TPoly:
-        return self._terms.get(word, POLY_ZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -253,14 +246,6 @@ class Element:
                 )
             if const:
                 out[word] = const
-        return Element._unsafe(out)
-
-    @staticmethod
-    def sum(elems: Iterable["Element"]) -> "Element":
-        out: dict[str, TPoly] = {}
-        for elem in elems:
-            for word, coeff in elem._terms.items():
-                _iadd(out, word, coeff)
         return Element._unsafe(out)
 
     def to_text(self) -> str:

@@ -1,6 +1,7 @@
 """CLI behavior: output formats, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -216,6 +217,10 @@ class TestUsageErrors:
             ),
             (["verify", "recursive", "--params", HEADS, "--cutoff", "0"], "takes no --cutoff"),
             (["verify", "pivot", "--left", "2", "--right", "3", "--cutoff", "1000"], "takes no --cutoff"),
+            (["product", "--left", "2", "--right", "3", "--t", "--json"], "--t: expected one argument"),
+            (["zeta", "--index", "2", "--bogus"], "unrecognized arguments: --bogus"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            ([], "required: command"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):
@@ -234,6 +239,8 @@ class TestUsageErrors:
             ["eq31", "--max", "2", "--json"],
             ["zeta8", "--max", "1", "--json"],
             ["verify", "decomposition", "--params", RECURSIVE, "--t", "1/2", "--json"],
+            # float rounding at a large t stays within the relative tolerance
+            ["verify", "decomposition", "--params", HEADS, "--t", "1e20", "--cutoff", "100", "--json"],
         ],
     )
     def test_smallest_runs_still_check(self, capsys, argv):
@@ -314,7 +321,8 @@ class TestArgvFuzz:
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if code == 2:
-            assert "error: " in err.getvalue().strip().splitlines()[-1]
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestNegativeT:
@@ -338,7 +346,7 @@ class TestNegativeT:
         code, out, err = run(capsys, "product", "--left", "2", "--right", "3", "--t", "--json")
         assert code == 2
         assert out == ""
-        assert "--t: expected one argument" in err.strip().splitlines()[-1]
+        assert err == "error: argument --t: expected one argument\n"
 
 
 class TestLazyNumpy:
@@ -369,3 +377,23 @@ class TestParsing:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["zeta8", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: tmzv") and err == ""
+
+
+class TestVerifyAllBytes:
+    def test_verify_all_json_is_unchanged(self, capsys):
+        # the reports of `tmzv verify all --max 3 --json`, which every change
+        # to the kernel must leave byte for byte as they are
+        code, out, err = run(capsys, "verify", "all", "--max", "3", "--json")
+        data = out.encode()
+        assert code == 0 and err == ""
+        assert len(data) == 1_023_535
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "0d69e5c13d42e117406c42fae19c77a30357280b0f42804c0b86719dc1bb551f"
+        )

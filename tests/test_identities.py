@@ -1,7 +1,10 @@
 """Unit tests for the identity builders and their checkers."""
 
+from fractions import Fraction
+
 import pytest
 
+from tmzv import identities
 from tmzv.errors import BadParamsError
 from tmzv.exact import ONE_MINUS_2T, TPoly
 from tmzv.identities import (
@@ -38,7 +41,7 @@ class TestReport:
         assert report.witness == {"lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
 
     def test_json_shape(self):
-        report = element_comparison("x", {"a": 1}, Element.one(), Element.one())
+        report = element_comparison("x", {"a": 1}, Element.from_word(""), Element.from_word(""))
         assert report.to_json_obj() == {
             "statement": "x",
             "params": {"a": 1},
@@ -202,11 +205,16 @@ class TestExactScalarIdentities:
         assert report.passed
         assert report.witness["lhs_im"] == "0"
 
+    def test_gaussian_witness_strings(self):
+        witness = gaussian_identity_check(1).witness
+        assert witness == {"lhs_re": "-1/9450", "lhs_im": "0", "rhs": "-1/9450"}
+
 
 class TestNumericDecomposition:
     def test_classical_instance(self):
-        report = decomposition_numeric_check(2, 2, 1, 0, 0, 0.0, 100_000, tol=1e-6)
+        report = decomposition_numeric_check(2, 2, 1, 0, 0, 0.0, 100_000)
         assert report.passed
+        assert report.witness["max_diff"] <= 1e-6
 
     def test_interpolated_instances(self):
         assert decomposition_numeric_check(2, 2, 1, 1, 0, 0.5, 100_000).passed
@@ -215,6 +223,24 @@ class TestNumericDecomposition:
     def test_rejects_inadmissible_heads(self):
         with pytest.raises(BadParamsError):
             decomposition_numeric_check(1, 2, 1, 0, 0, 0.0, 100)
+
+    @pytest.mark.parametrize("params, t0", [((2, 2, 1, 1, 1), 1e20), ((2, 3, 1, 2, 1), -1e20)])
+    def test_tolerance_is_relative_to_the_values(self, params, t0):
+        # at t = 1e20 the values are near 1.4e40 and float rounding leaves a
+        # max_diff near 2.4e24, far above 1e-3 but far below 1e-3 of them;
+        # at t = -1e20 the second instance is near -1.2e60
+        report = decomposition_numeric_check(*params, t0, 100)
+        assert report.passed
+        assert report.witness["max_diff"] > 1e-3
+        assert report.witness["tolerance"] == 1e-3
+
+    @pytest.mark.parametrize("t0", [0.5, 1e20])
+    def test_perturbed_explicit_side_still_fails(self, monkeypatch, t0):
+        exact = identities.closed_form_rhs
+        monkeypatch.setattr(
+            identities, "closed_form_rhs", lambda *args: exact(*args).scale(Fraction(101, 100))
+        )
+        assert not decomposition_numeric_check(2, 2, 1, 1, 1, t0, 100).passed
 
 
 class TestStructuralCheckers:

@@ -57,12 +57,12 @@ class TestSigma:
             assert sigma_t(w1 + w2) == sigma_t(w1) * sigma_t(w2)
 
     def test_empty(self):
-        assert sigma_t("") == Element.one()
+        assert sigma_t("") == Element.from_word("")
 
 
 class TestLastLetterFixedMap:
     def test_single_letters_fixed(self):
-        assert s_t("") == Element.one()
+        assert s_t("") == Element.from_word("")
         assert s_t("x") == Element.from_word("x")
         assert s_t("y") == Element.from_word("y")
 

@@ -29,7 +29,7 @@ class TestStuffleT:
     def test_unit(self):
         assert stuffle_t("", "xxy") == Element.from_word("xxy")
         assert stuffle_t("xxy", "") == Element.from_word("xxy")
-        assert stuffle_t("", "") == Element.one()
+        assert stuffle_t("", "") == Element.from_word("")
 
     def test_depth_one(self):
         got = stuffle_t("xy", "xxy")  # z2 * z3

@@ -88,7 +88,7 @@ class TestMappedEvaluation:
 
     def test_empty_word_contributes_coefficient(self):
         cfg = EvalConfig(100, 0.3)
-        assert z_t_eval(Element.one(), cfg) == 1.0
+        assert z_t_eval(Element.from_word(""), cfg) == 1.0
 
     def test_prefix_without_y_untouched(self):
         for t0 in (0.0, 0.5, -1.0):
