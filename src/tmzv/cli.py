@@ -43,7 +43,7 @@ def _parse_index(text: str) -> tuple[int, ...]:
     parts = []
     for piece in s.split(","):
         piece = piece.strip()
-        if not piece.isdigit() or int(piece) < 1:
+        if not (piece.isascii() and piece.isdigit()) or int(piece) < 1:
             raise UsageError(f"malformed index {text!r}: parts must be positive integers")
         parts.append(int(piece))
     return tuple(parts)

@@ -198,10 +198,10 @@ class TPoly:
                 continue
             mag = abs(c)
             if d == 0:
-                body = _fmt_coeff(mag)
+                body = str(mag)
             else:
                 var = "t" if d == 1 else f"t^{d}"
-                body = var if mag == 1 else f"{_fmt_coeff(mag)}{var}"
+                body = var if mag == 1 else f"{mag}{var}"
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -210,10 +210,6 @@ class TPoly:
 
     def __repr__(self) -> str:
         return f"TPoly({self.coeffs!r})"
-
-
-def _fmt_coeff(q: Fraction | int) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 _UNIT = (1,)

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import BadParamsError
 from .exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
-from .products import stuffle_o, stuffle_t
+from .products import _check_index, stuffle_o, stuffle_t
 from .words import Element, _concat_into, _iadd, word_of_index, z_word
 from .zeta import EvalConfig, mzv, z_t_eval
 
@@ -191,9 +191,8 @@ def pivot_rhs(idx1: Iterable[int], idx2: Iterable[int], j: int) -> Element:
     combined by the deformed product. Empty prefixes count as the unit; the
     merge term is dropped at i = 0.
     """
-    i1 = tuple(int(a) for a in idx1)
-    i2 = tuple(int(a) for a in idx2)
-    if any(a < 1 for a in i1 + i2) or not i1:
+    i1, i2 = _check_index(idx1), _check_index(idx2)
+    if not i1:
         raise BadParamsError(f"indices must be nonempty over positive parts, got {(i1, i2)}")
     m, n = len(i1), len(i2)
     if not 1 <= j <= m:

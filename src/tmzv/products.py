@@ -10,25 +10,26 @@ as unit and the recursion
 The guard on the x-run term prevents a dangling run at the end of a word;
 the open variant keeps that term unconditionally, so its results may end in
 x. Both products are commutative. At t = 0 the product reduces to the
-classical quasi-shuffle (stuffle) of multiple zeta values, implemented here
-independently on index tuples so it can serve as an oracle.
-``stuffle_combinatorial`` builds the same product by direct enumeration of
-merge patterns, without recursion.
+classical quasi-shuffle (stuffle) of multiple zeta values.
+``stuffle_combinatorial`` builds the same product as a sum over merge
+patterns, and ``stuffle_classical`` is that sum restricted to single-part
+merges with coefficient 1. These two oracles are independent of the
+recursion: they fill a table of suffix pairs and keep nothing between calls.
 
-Word-pair results are memoized, one table per product, each keyed by the
-unordered pair. A product of two words returns its memo Element itself, not
-a copy: Elements are immutable, so no caller can change a shared entry.
+Word-pair results of the recursion are memoized, one table per product, each
+keyed by the unordered pair. A product of two words returns its memo Element
+itself, not a copy: Elements are immutable, so no caller can change a shared
+entry.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable
 
-from .errors import NotInH1Error
+from .errors import BadParamsError, NotInH1Error
 from .exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
-from .words import Element, _concat_into, _iadd, validate_word, word_of_index, z_word
+from .words import Element, _concat_into, validate_word, z_word
 
 _CACHE_T: dict[tuple[str, str], Element] = {}
 _CACHE_O: dict[tuple[str, str], Element] = {}
@@ -37,7 +38,6 @@ _CACHE_O: dict[tuple[str, str], Element] = {}
 def clear_caches() -> None:
     _CACHE_T.clear()
     _CACHE_O.clear()
-    _classical_cached.cache_clear()
 
 
 def _require_h1(word: str) -> str:
@@ -105,76 +105,64 @@ def stuffle_o(a: str | Element, b: str | Element) -> Element:
 
 
 def _check_index(parts: Iterable[int]) -> tuple[int, ...]:
-    idx = tuple(int(k) for k in parts)
-    for k in idx:
-        if k < 1:
-            raise ValueError(f"index parts must be positive, got {idx}")
+    given = tuple(parts)
+    idx = tuple(int(k) for k in given)
+    if idx != given or any(k < 1 for k in idx):
+        raise BadParamsError(f"index parts must be positive integers, got {given}")
     return idx
 
 
-@lru_cache(maxsize=None)
-def _classical_cached(idx1: tuple[int, ...], idx2: tuple[int, ...]) -> Element:
-    if not idx1:
-        return Element.from_word(word_of_index(idx2))
-    if not idx2:
-        return Element.from_word(word_of_index(idx1))
-    a, u = idx1[0], idx1[1:]
-    b, v = idx2[0], idx2[1:]
-    out: dict[str, TPoly] = {}
-    _concat_into(out, [(z_word(a), POLY_ONE)], _classical_cached(u, idx2).items())
-    _concat_into(out, [(z_word(b), POLY_ONE)], _classical_cached(idx1, v).items())
-    _concat_into(out, [(z_word(a + b), POLY_ONE)], _classical_cached(u, v).items())
-    return Element._unsafe(out)
+def _merge_patterns(p1: tuple[int, ...], p2: tuple[int, ...], runs: dict[tuple[int, int], TPoly]) -> Element:
+    """Sum over the merge patterns of two part sequences: each letter is z of
+    one part (coefficient 1) or z of the summed weight of a run of a parts of
+    ``p1`` merged with b of ``p2`` (coefficient ``runs[a, b]``). State (i, j)
+    holds the patterns of the suffixes from parts i and j; states grow from
+    the ends in reverse row-major order, so each is complete when grown, and
+    are dropped once grown, so nothing outlives the call and nothing recurses.
+    A letter goes in front, so the kernel skips the unit multiplications."""
+    n, m = len(p1), len(p2)
+    # prefix sums: the parts i-a..i-1 of p1 total s1[i] - s1[i - a]
+    s1, s2 = list(accumulate(p1, initial=0)), list(accumulate(p2, initial=0))
+    steps = {(1, 0): POLY_ONE, (0, 1): POLY_ONE, **runs}
+    table: dict[tuple[int, int], dict[str, TPoly]] = {(n, m): {"": POLY_ONE}}
+    for i in range(n, -1, -1):
+        for j in range(m, -1, -1):
+            terms = table.pop((i, j))
+            for (a, b), coeff in steps.items():
+                if i >= a and j >= b:
+                    letter = z_word(s1[i] - s1[i - a] + s2[j] - s2[j - b])
+                    _concat_into(table.setdefault((i - a, j - b), {}), [(letter, coeff)], terms.items())
+    return Element._unsafe(terms)  # (0, 0), the last state, grows into none
 
 
 def stuffle_classical(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
     """Classical quasi-shuffle z_a u * z_b v = z_a(u * z_b v) + z_b(z_a u * v)
     + z_{a+b}(u * v) on index tuples; coefficients are constants.
 
-    Coded independently of the deformed recursion: it is the oracle for the
-    t = 0 specialization.
+    It is the merge-pattern sum whose only runs merge one part with one,
+    with coefficient 1: independent of the deformed recursion, it is the
+    oracle for the t = 0 specialization.
     """
-    return _classical_cached(_check_index(idx1), _check_index(idx2))
+    return _merge_patterns(_check_index(idx1), _check_index(idx2), {(1, 1): POLY_ONE})
 
 
 def stuffle_combinatorial(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
     """Merge-pattern enumeration of the t-stuffle product.
 
-    Walks all interleavings of the two part sequences in which each emitted
-    letter consumes either a single part (plain z), or a consecutive run of
-    a >= 1 parts from one sequence and b >= 1 from the other with
-    |a - b| <= 1, emitting z of the summed weight. A balanced run (a == b)
-    carries (1 - 2t) (t^2 - t)^(a-1); an unbalanced one carries
-    (t^2 - t)^min(a,b). Must agree with :func:`stuffle_t` on the same inputs.
+    Sums all interleavings of the two part sequences in which each letter
+    consumes either a single part (plain z), or a consecutive run of a >= 1
+    parts from one sequence and b >= 1 from the other with |a - b| <= 1,
+    giving z of the summed weight. A balanced run (a == b) carries
+    (1 - 2t) (t^2 - t)^(a-1); an unbalanced one carries (t^2 - t)^min(a,b).
+    Must agree with :func:`stuffle_t` on the same inputs.
     """
-    p1 = _check_index(idx1)
-    p2 = _check_index(idx2)
+    p1, p2 = _check_index(idx1), _check_index(idx2)
     n, m = len(p1), len(p2)
-    # prefix sums: the parts i..i+a-1 of p1 total s1[i + a] - s1[i]
-    s1, s2 = list(accumulate(p1, initial=0)), list(accumulate(p2, initial=0))
     # the coefficient of a run of a parts merged with b parts, built once
-    factors = {
+    runs = {
         (a, b): ONE_MINUS_2T * T2_MINUS_T ** (a - 1) if a == b else T2_MINUS_T ** min(a, b)
         for a in range(1, n + 1)
         for b in (a - 1, a, a + 1)
         if 1 <= b <= m
     }
-    out: dict[str, TPoly] = {}
-
-    def emit(i: int, j: int, prefix: str, coeff: TPoly) -> None:
-        if i == n and j == m:
-            _iadd(out, prefix, coeff)
-            return
-        if i < n:
-            emit(i + 1, j, prefix + z_word(p1[i]), coeff)
-        if j < m:
-            emit(i, j + 1, prefix + z_word(p2[j]), coeff)
-        for a in range(1, n - i + 1):
-            for b in (a - 1, a, a + 1):
-                if b < 1 or b > m - j:
-                    continue
-                total = s1[i + a] - s1[i] + s2[j + b] - s2[j]
-                emit(i + a, j + b, prefix + z_word(total), coeff * factors[a, b])
-
-    emit(0, 0, "", POLY_ONE)
-    return Element._unsafe(out)
+    return _merge_patterns(p1, p2, runs)

@@ -220,6 +220,9 @@ class TestUsageErrors:
             (["product", "--left", "2", "--right", "3", "--t", "--json"], "--t: expected one argument"),
             (["zeta", "--index", "2", "--bogus"], "unrecognized arguments: --bogus"),
             (["frobnicate"], "invalid choice: 'frobnicate'"),
+            (["product", "--left", "²", "--right", "3"], "malformed index"),
+            (["zeta", "--index", "2,¹", "--cutoff", "10"], "malformed index"),
+            (["verify", "pivot", "--left", "³", "--right", "1"], "malformed index"),
             ([], "required: command"),
         ],
     )
@@ -264,7 +267,7 @@ _VALUES = [
     "", "0", "1", "-1", "2,1", "2,1,1", "1,2", "3,1", "1,0", "x", "xyy", "xz", "t", "o", "st",
     "classical", "boxes", "1/2", "1/0", "1e300", "1e400", "nan", "=", "m=2", "q=9",
 ]
-_INDICES = ["", "1", "2", "2,1", "1,2,1", "0", "1,0", "x"]
+_INDICES = ["", "1", "2", "2,1", "1,2,1", "0", "1,0", "x", "²", "2,¹"]
 _T_VALUES = ["0", "1", "1/2", "-1", "1/0", "1e300", "1e400", "x", "-3/4", "-1/2"]
 _PAIRS = st.lists(st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)), max_size=2).map(
     lambda pairs: [token for pair in pairs for token in pair]

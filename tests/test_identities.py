@@ -159,6 +159,11 @@ class TestPivot:
         with pytest.raises(BadParamsError):
             pivot_rhs((2, 1), (2,), 3)
 
+    @pytest.mark.parametrize("left, right", [((2.5,), (1,)), ((2, 1), (1.5,)), ((2,), (0,))])
+    def test_non_integral_or_nonpositive_parts_raise(self, left, right):
+        with pytest.raises(BadParamsError):
+            pivot_rhs(left, right, 1)
+
 
 class TestAlternating:
     def test_odd_collapses(self):

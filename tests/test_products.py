@@ -1,12 +1,13 @@
 """Unit tests for the deformed, open, classical, and combinatorial products."""
 
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from tmzv.errors import NotInH1Error
+from tmzv.errors import BadParamsError, NotInH1Error
 from tmzv.exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
 from tmzv.products import (
     clear_caches,
@@ -204,8 +205,8 @@ class TestClassical:
             rec(0, 0, "")
             return Element([(w, TPoly((c,))) for w, c in out.items()])
 
-        for idx1 in small_indices():
-            for idx2 in small_indices():
+        for idx1 in small_indices(max_depth=3):
+            for idx2 in small_indices(max_depth=3):
                 assert stuffle_classical(idx1, idx2) == enumerate_pairs_only(idx1, idx2)
 
 
@@ -223,14 +224,54 @@ class TestCombinatorial:
                 assert got == want, (idx1, idx2)
 
 
+class TestOracleInputs:
+    DEPTH = 1200
+
+    def test_deep_index_needs_no_recursion(self):
+        assert self.DEPTH > sys.getrecursionlimit()
+        n = self.DEPTH
+        # z_3 stands alone at any of n + 1 places or merges with any z_2
+        want = Element(
+            [("xy" * k + "xxy" + "xy" * (n - k), 1) for k in range(n + 1)]
+            + [("xy" * k + "xxxxy" + "xy" * (n - 1 - k), 1) for k in range(n)]
+        )
+        got = stuffle_classical((2,) * n, (3,))
+        assert len(got) == 2401
+        assert got == want
+
+    def test_deep_index_in_combinatorial_oracle(self):
+        n = self.DEPTH
+        # z_2 stands alone, merges with one z_1, or with two (a 2-1 run)
+        want = Element(
+            [("y" * k + "xy" + "y" * (n - k), 1) for k in range(n + 1)]
+            + [("y" * k + "xxy" + "y" * (n - 1 - k), ONE_MINUS_2T) for k in range(n)]
+            + [("y" * k + "xxxy" + "y" * (n - 2 - k), T2_MINUS_T) for k in range(n - 1)]
+        )
+        got = stuffle_combinatorial((1,) * n, (2,))
+        assert len(got) == 3600
+        assert got == want
+
+    @pytest.mark.parametrize("oracle", [stuffle_classical, stuffle_combinatorial])
+    @pytest.mark.parametrize("left", [(2.5,), (2, Fraction(3, 2)), (0,), (2, -1)])
+    def test_bad_parts_raise(self, oracle, left):
+        with pytest.raises(BadParamsError):
+            oracle(left, (1,))
+        with pytest.raises(BadParamsError):
+            oracle((1,), left)
+
+
 class TestProductInvariants:
     def test_commutativity(self):
-        # exhaustive over depth <= 3, parts <= 3 for the two recursions
+        # the memo serves both orders of a word pair from one entry, so the
+        # two recursions are checked against each other instead: the deformed
+        # product is the part of the open one whose words do not end in x
+        # (exhaustive over depth <= 3, parts <= 3)
         for idx1 in small_indices(max_depth=3):
             for idx2 in small_indices(max_depth=3):
                 w1, w2 = word_of_index(idx1), word_of_index(idx2)
-                assert stuffle_t(w1, w2) == stuffle_t(w2, w1)
-                assert stuffle_o(w1, w2) == stuffle_o(w2, w1)
+                opened = stuffle_o(w1, w2)
+                y_ended = Element((w, c) for w, c in opened.items() if not w.endswith("x"))
+                assert stuffle_t(w1, w2) == y_ended, (idx1, idx2)
 
     def test_commutativity_of_enumerator(self):
         for idx1 in small_indices():

@@ -126,3 +126,14 @@ class TestFailurePaths:
         roundtrip = next(r for r in reports if r.statement == "properties:roundtrip")
         assert not roundtrip.passed
         assert roundtrip.witness["law"] == "deterministic-text"
+
+    def test_commutativity_law_catches_a_wrong_open_product(self, monkeypatch):
+        # symmetric in its inputs but twice the open product
+        import tmzv.sweeps as sweeps
+
+        real = sweeps.stuffle_o
+        monkeypatch.setattr(sweeps, "stuffle_o", lambda a, b: real(a, b).scale(2))
+        reports = run_statement("properties", cases=20)
+        law = next(r for r in reports if r.statement == "properties:commutativity")
+        assert not law.passed
+        assert law.witness["product"] == "open"
