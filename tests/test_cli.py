@@ -220,10 +220,10 @@ class TestUsageErrors:
             (["product", "--left", "2", "--right", "3", "--t", "--json"], "--t: expected one argument"),
             (["zeta", "--index", "2", "--bogus"], "unrecognized arguments: --bogus"),
             (["frobnicate"], "invalid choice: 'frobnicate'"),
+            ([], "required: command"),
             (["product", "--left", "²", "--right", "3"], "malformed index"),
             (["zeta", "--index", "2,¹", "--cutoff", "10"], "malformed index"),
             (["verify", "pivot", "--left", "³", "--right", "1"], "malformed index"),
-            ([], "required: command"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):
