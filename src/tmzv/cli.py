@@ -36,16 +36,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ascii_int(text: str, signed: bool = False) -> int | None:
+    """The integer ``text`` spells in ASCII digits, after an optional sign when
+    ``signed``; None for anything else, such as the other scripts' digits and
+    the underscores that ``int`` also reads."""
+    s = text.strip()
+    digits = s[1:] if signed and s[:1] in ("+", "-") else s
+    return int(s) if digits.isascii() and digits.isdigit() else None
+
+
+def _int_flag(text: str) -> int:
+    """The ``type`` of the integer options; the commands check their ranges."""
+    value = _ascii_int(text, signed=True)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"malformed integer {text!r}")
+    return value
+
+
 def _parse_index(text: str) -> tuple[int, ...]:
     s = text.strip()
     if not s:
         return ()
     parts = []
     for piece in s.split(","):
-        piece = piece.strip()
-        if not (piece.isascii() and piece.isdigit()) or int(piece) < 1:
+        part = _ascii_int(piece)
+        if part is None or part < 1:
             raise UsageError(f"malformed index {text!r}: parts must be positive integers")
-        parts.append(int(piece))
+        parts.append(part)
     return tuple(parts)
 
 
@@ -53,11 +70,14 @@ def _parse_t(text: str) -> Fraction:
     s = text.strip()
     try:
         if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed t value {text!r}") from exc
+            num, den = (_ascii_int(part, signed=True) for part in s.split("/", 1))
+            if num is not None and den is not None:
+                return Fraction(num, den)
+        elif s.isascii() and "_" not in s:
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(f"malformed t value {text!r}")
 
 
 def _parse_t_float(text: str) -> float:
@@ -76,10 +96,10 @@ def _parse_params(text: str) -> dict[str, int]:
         if "=" not in piece:
             raise UsageError(f"malformed --params entry {piece!r} (expected name=value)")
         key, value = piece.split("=", 1)
-        try:
-            out[key.strip()] = int(value)
-        except ValueError as exc:
-            raise UsageError(f"malformed --params value {piece!r}") from exc
+        number = _ascii_int(value, signed=True)
+        if number is None:
+            raise UsageError(f"malformed --params value {piece!r}")
+        out[key.strip()] = number
     return out
 
 
@@ -303,22 +323,22 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("zeta", "zeta-star"):
         p_z = sub.add_parser(name, help=f"truncated {name} value of an admissible index")
         p_z.add_argument("--index", required=True)
-        p_z.add_argument("--cutoff", type=int, default=100_000)
+        p_z.add_argument("--cutoff", type=_int_flag, default=100_000)
         p_z.add_argument("--json", action="store_true")
 
     p_zt = sub.add_parser("zeta-t", help="truncated interpolated value")
     p_zt.add_argument("--index", required=True)
-    p_zt.add_argument("--cutoff", type=int, default=100_000)
+    p_zt.add_argument("--cutoff", type=_int_flag, default=100_000)
     p_zt.add_argument("--t", required=True, help="interpolation parameter (float or p/q)")
     p_zt.add_argument("--method", choices=("boxes", "st"), default="boxes")
     p_zt.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("statement", help="statement name or 'all'")
-    p_verify.add_argument("--max", type=int, default=3, help="size knob for exact sweeps")
-    p_verify.add_argument("--cutoff", type=int, help="cutoff override for numeric sweeps")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for the property suites")
-    p_verify.add_argument("--cases", type=int, default=1000, help="cases per property suite")
+    p_verify.add_argument("--max", type=_int_flag, default=3, help="size knob for exact sweeps")
+    p_verify.add_argument("--cutoff", type=_int_flag, help="cutoff override for numeric sweeps")
+    p_verify.add_argument("--seed", type=_int_flag, default=0, help="seed for the property suites")
+    p_verify.add_argument("--cases", type=_int_flag, default=1000, help="cases per property suite")
     p_verify.add_argument("--params", help='single instance, e.g. "m=2,u=2,p=1,n=1,v=0"')
     p_verify.add_argument("--left", help="left index for pivot/combinatorial/t0-reduction")
     p_verify.add_argument("--right", help="right index for pivot/combinatorial/t0-reduction")
@@ -326,11 +346,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true")
 
     p_eq31 = sub.add_parser("eq31", help="exact alternating factorial identity, even k")
-    p_eq31.add_argument("--max", type=int, default=12)
+    p_eq31.add_argument("--max", type=_int_flag, default=12)
     p_eq31.add_argument("--json", action="store_true")
 
     p_zeta8 = sub.add_parser("zeta8", help="exact Gaussian-rational factorial identity")
-    p_zeta8.add_argument("--max", type=int, default=3)
+    p_zeta8.add_argument("--max", type=_int_flag, default=3)
     p_zeta8.add_argument("--json", action="store_true")
 
     return parser

@@ -100,7 +100,14 @@ class TPoly:
         out = list(a)
         for d, c in enumerate(b):
             out[d] += c
-        return TPoly(out)
+        for c in out:
+            if type(c) is not int:  # a sum of Fractions may be integral
+                return TPoly(out)
+        # an int-only sum is in normal form once the zeros its top
+        # coefficients cancel to are stripped
+        while out and out[-1] == 0:
+            out.pop()
+        return TPoly._normal(tuple(out))
 
     def __neg__(self) -> "TPoly":
         return TPoly._normal(tuple(-c for c in self.coeffs))

@@ -14,18 +14,38 @@ classical quasi-shuffle (stuffle) of multiple zeta values.
 ``stuffle_combinatorial`` builds the same product as a sum over merge
 patterns, and ``stuffle_classical`` is that sum restricted to single-part
 merges with coefficient 1. These two oracles are independent of the
-recursion: they fill a table of suffix pairs and keep nothing between calls.
+recursion: they fill their own table of suffix pairs and keep nothing
+between calls.
 
-Word-pair results of the recursion are memoized, one table per product, each
-keyed by the unordered pair. A product of two words returns its memo Element
-itself, not a copy: Elements are immutable, so no caller can change a shared
-entry.
+The engine, ``_stuffle_t_words``, runs the recursion without recursing.
+Its states are the pairs (suffix of w1 from letter i, suffix of w2 from
+letter j), so it fills that (n+1) x (m+1) table from the ends, one row at a
+time, keeping only the row below. Each state is built from four blocks,
+
+    z_k A,  z_l B,  (1 - 2t) z_{k+l} C,  (t^2 - t) x^{k+l} C,
+
+with A, B and C the states (i+1, j), (i, j+1) and (i+1, j+1). Their words
+start with x-runs of length k - 1, l - 1, k + l - 1 and at least k + l, so
+only the first two blocks can share a word, and only when k = l: every other
+block goes into the state as it is, with no lookup and no addition. No sum
+of shared words cancels: every coefficient is a sum of products of 1,
+(1 - 2t) and (t^2 - t), so it is positive at t = -1. A product holds few
+distinct coefficients, so the scalings by (1 - 2t) and (t^2 - t), and the
+sums of shared words, are formed once per distinct coefficient (or pair) for
+the whole call, in memos local to it.
+
+Every state is memoized, one table per product, keyed by the unordered pair
+of suffixes. A memoized state was built with its whole sub-table, so the
+table fill reads a state from the memo where it can and stores each one it
+builds: the memo ends up holding the same states the recursion would. A
+product of two words returns its memo Element itself, not a copy: Elements
+are immutable, so no caller can change a shared entry.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 from .errors import BadParamsError, NotInH1Error
 from .exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
@@ -47,13 +67,24 @@ def _require_h1(word: str) -> str:
     return word
 
 
-def _head_tail(word: str) -> tuple[int, str]:
-    # word nonempty and y-ended: peel the leading z_k
-    pos = word.index("y")
-    return pos + 1, word[pos + 1 :]
+class _Memo(dict):
+    """A memo local to one product: ``memo[key]`` is ``make(key)``, formed
+    on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Hashable) -> TPoly:
+        value = self[key] = self.make(key)
+        return value
 
 
 def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
+    """The product of two y-ended words by the table fill of the module
+    docstring; each state it builds goes into the memo."""
     if not w1:
         return Element.from_word(w2)
     if not w2:
@@ -63,18 +94,46 @@ def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    k, t1 = _head_tail(w1)
-    l, t2 = _head_tail(w2)
-    out: dict[str, TPoly] = {}
-    _concat_into(out, [(z_word(k), POLY_ONE)], _stuffle_t_words(t1, w2, open_).items())
-    _concat_into(out, [(z_word(l), POLY_ONE)], _stuffle_t_words(w1, t2, open_).items())
-    merges = [(z_word(k + l), ONE_MINUS_2T)]
-    if open_ or t1 or t2:
-        merges.append(("x" * (k + l), T2_MINUS_T))
-    _concat_into(out, merges, _stuffle_t_words(t1, t2, open_).items())
-    result = Element._unsafe(out)
-    cache[key] = result
-    return result
+    # the z-letters of each word, and its suffixes from each letter on, the
+    # last one empty
+    z1 = [run + "y" for run in w1.split("y")[:-1]]
+    z2 = [run + "y" for run in w2.split("y")[:-1]]
+    s1 = [w1[p:] for p in accumulate(map(len, z1), initial=0)]
+    s2 = [w2[p:] for p in accumulate(map(len, z2), initial=0)]
+    n, m = len(z1), len(z2)
+    # (1 - 2t) c, (t^2 - t) c and a + b, keyed by coefficient tuples
+    merged = _Memo(lambda c: ONE_MINUS_2T * TPoly._normal(c))
+    x_run = _Memo(lambda c: T2_MINUS_T * TPoly._normal(c))
+    sums = _Memo(lambda pair: TPoly._normal(pair[0]) + TPoly._normal(pair[1]))
+    below = [{v: POLY_ONE} for v in s2]  # row n: the state (n, j) is the word s2[j]
+    for i in range(n - 1, -1, -1):
+        zk, u = z1[i], s1[i]
+        row: list = [None] * m + [{u: POLY_ONE}]  # the state (i, m) is the word u
+        for j in range(m - 1, -1, -1):
+            v = s2[j]
+            state = (u, v) if u <= v else (v, u)
+            hit = cache.get(state)
+            if hit is not None:
+                row[j] = hit._terms
+                continue
+            zl = z2[j]
+            a, b, c = below[j], row[j + 1], below[j + 1]
+            if zk != zl:
+                terms = {zk + w: coeff for w, coeff in a.items()}
+                terms.update({zl + w: coeff for w, coeff in b.items()})
+            else:  # the one case where two blocks share words
+                ab = a | b
+                ab.update({w: sums[a[w].coeffs, b[w].coeffs] for w in a.keys() & b.keys()})
+                terms = {zk + w: coeff for w, coeff in ab.items()}
+            xs = "x" * (len(zk) + len(zl))
+            zkl = xs[1:] + "y"
+            terms.update({zkl + w: merged[coeff.coeffs] for w, coeff in c.items()})
+            if open_ or i + 1 < n or j + 1 < m:
+                terms.update({xs + w: x_run[coeff.coeffs] for w, coeff in c.items()})
+            row[j] = terms
+            cache[state] = Element._unsafe(terms)
+        below = row
+    return cache[key]
 
 
 def _bilinear(a: str | Element, b: str | Element, open_: bool = False) -> Element:

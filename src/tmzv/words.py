@@ -12,8 +12,9 @@ part of a z letter after further concatenation, and raw keys make that
 absorption automatic.
 
 Elements are treated as immutable; every operation builds a new value, and
-nothing outside this module touches their terms. That is what lets the
-products return their memoized Elements shared instead of copied.
+outside this module only the product engine touches their terms, to read
+them. That is what lets the products return their memoized Elements shared
+instead of copied.
 
 A product or evaluation holds few distinct coefficients, since each is a sum
 of products of (1 - 2t) and (t^2 - t) over merge patterns, so the per-term
@@ -106,10 +107,11 @@ def _concat_into(out: dict[str, TPoly], left: Iterable[Term], right: Collection[
     """The concatenation kernel: ``out += left · right``, adding ``c1 * c2``
     under ``w1 + w2`` for every pair of terms and skipping the multiplication
     when a left coefficient is 1. ``right`` is walked once per left term, and
-    each distinct pair of coefficients is multiplied once. This is the one
-    accumulate loop of the word algebra, so it adds inline rather than
-    through :func:`_iadd`; both sides hold nonzero coefficients, so only an
-    add can cancel a word."""
+    each distinct pair of coefficients is multiplied once. It serves the
+    builders, the oracles and the bilinear extension (the product engine
+    builds its states from disjoint blocks instead), and adds inline rather
+    than through :func:`_iadd`; both sides hold nonzero coefficients, so
+    only an add can cancel a word."""
     get = out.get
     # c1.coeffs -> c2.coeffs -> c1 * c2
     products: dict[tuple, dict[tuple, TPoly]] = {}

@@ -224,6 +224,18 @@ class TestUsageErrors:
             (["product", "--left", "²", "--right", "3"], "malformed index"),
             (["zeta", "--index", "2,¹", "--cutoff", "10"], "malformed index"),
             (["verify", "pivot", "--left", "³", "--right", "1"], "malformed index"),
+            (["verify", "power-product", "--params", "m=1,n=1,p=１"], "malformed --params value"),
+            (["verify", "power-product", "--params", "m=1,n=1,p=1_0"], "malformed --params value"),
+            (["product", "--left", "2", "--right", "3", "--t=３/4"], "malformed t value"),
+            (["product", "--left", "2", "--right", "3", "--t=3/1_0"], "malformed t value"),
+            (["product", "--left", "2", "--right", "3", "--t=1_0"], "malformed t value"),
+            (["zeta-t", "--index", "2", "--t", "٣"], "malformed t value"),
+            (["zeta", "--index", "2", "--cutoff", "1_000"], "--cutoff: malformed integer"),
+            (["zeta-star", "--index", "2", "--cutoff", "１０"], "--cutoff: malformed integer"),
+            (["verify", "pivot", "--max", "²"], "--max: malformed integer"),
+            (["verify", "properties", "--seed", "1_0"], "--seed: malformed integer"),
+            (["verify", "properties", "--cases", "٣"], "--cases: malformed integer"),
+            (["eq31", "--max", "+"], "--max: malformed integer"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):

@@ -26,6 +26,7 @@ mixed_coeffs = st.lists(
     st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=4)),
     max_size=5,
 )
+int_coeffs = st.lists(st.integers(-9, 9), max_size=5)
 
 
 class TestRationals:
@@ -174,6 +175,21 @@ class TestNormalForm:
             want = _ref_mul(want, ra)
         _check(a**n, want)
         _check(TPoly.from_json(a.to_json()), ra)
+
+    @given(st.one_of(int_coeffs, mixed_coeffs), st.one_of(int_coeffs, mixed_coeffs), st.integers(0, 5))
+    def test_add_equals_constructor_of_list_sum(self, ca, cb, keep):
+        a = TPoly(ca)
+        # besides b itself, a polynomial that is -a above degree keep, so that
+        # the sum cancels to a degree below keep, and to zero at keep 0
+        low = list(TPoly(cb).coeffs[:keep])
+        cancelling = TPoly(low + [-c for c in a.coeffs[len(low) :]])
+        assert (a + cancelling).degree < keep
+        for b in (TPoly(cb), cancelling):
+            n = max(len(a.coeffs), len(b.coeffs))
+            pad_a, pad_b = (list(p.coeffs) + [0] * (n - len(p.coeffs)) for p in (a, b))
+            got, want = a + b, TPoly([x + y for x, y in zip(pad_a, pad_b)])
+            assert got.coeffs == want.coeffs
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
     @given(mixed_coeffs, st.one_of(rationals, st.integers(-9, 9)))
     def test_eval_in_normal_form(self, cs, t0):

@@ -2,14 +2,20 @@
 
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmzv.errors import BadParamsError, NotInH1Error
 from tmzv.exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
+from tmzv.identities import power_product_rhs
 from tmzv.products import (
+    _CACHE_O,
+    _CACHE_T,
     clear_caches,
     stuffle_classical,
     stuffle_combinatorial,
@@ -171,6 +177,47 @@ class TestStuffleOpen:
                 assert stuffle_o(w1, w2) == reference(w1, w2), (w1, w2)
 
 
+_INDICES = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
+
+
+class TestEngineTable:
+    """The engine fills the table of suffix pairs; a memoized pair stands in
+    for its whole sub-table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_INDICES, _INDICES, st.data())
+    def test_product_after_memoized_suffix_pairs_equals_cold(self, idx1, idx2, data):
+        pairs = st.tuples(st.integers(0, len(idx1) - 1), st.integers(0, len(idx2) - 1), st.booleans())
+        primed = data.draw(st.lists(pairs, max_size=6))
+        w1, w2 = word_of_index(idx1), word_of_index(idx2)
+        for op, cache in ((stuffle_t, _CACHE_T), (stuffle_o, _CACHE_O)):
+            clear_caches()
+            cold = op(w1, w2)
+            cold_keys = set(cache)
+            clear_caches()
+            for i, j, swap in primed:
+                u, v = word_of_index(idx1[i:]), word_of_index(idx2[j:])
+                op(*((v, u) if swap else (u, v)))
+            warm = op(w1, w2)
+            assert warm == cold
+            assert _json_bytes(warm) == _json_bytes(cold)
+            assert set(cache) == cold_keys  # every primed pair is a suffix pair
+            # what lets the engine add shared words without a zero check
+            assert all(coeff.eval(-1) > 0 for _, coeff in cold.items())
+        clear_caches()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_equal_letters_sum_their_shared_words(self, p):
+        # with k = l the blocks z_k (w1 * z_l w2) and z_l (z_k w1 * w2) share
+        # words, whose coefficients add
+        for a in range(4):
+            for b in range(4):
+                got = stuffle_t(word_of_index((p,) * a), word_of_index((p,) * b))
+                assert got == power_product_rhs(a, b, p), (a, b)
+        z_p4 = dict(stuffle_t(word_of_index((p, p)), word_of_index((p, p))).items())
+        assert z_p4[word_of_index((p,) * 4)] == TPoly((6,))
+
+
 class TestClassical:
     def test_depth_one(self):
         got = stuffle_classical((2,), (3,))
@@ -224,6 +271,24 @@ class TestCombinatorial:
                 assert got == want, (idx1, idx2)
 
 
+@contextmanager
+def _stack_headroom(frames):
+    """Set the recursion limit to the current stack depth plus ``frames``."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _nest(n):
+    return n if n == 0 else _nest(n - 1)
+
+
 class TestOracleInputs:
     DEPTH = 1200
 
@@ -250,6 +315,23 @@ class TestOracleInputs:
         got = stuffle_combinatorial((1,) * n, (2,))
         assert len(got) == 3600
         assert got == want
+
+    def test_deep_word_needs_no_recursion_in_engine(self):
+        # the memo keeps every suffix-pair state, about 2 n^3 letters for this
+        # pair (over 3 GB at n = 1200), so the engine is run at a smaller n
+        # under a recursion limit that n nested calls would exceed
+        n = 300
+        w1, w2 = word_of_index((2,) * n), word_of_index((3,))
+        clear_caches()
+        with _stack_headroom(n // 2):
+            with pytest.raises(RecursionError):
+                _nest(n)
+            got_t = stuffle_t(w1, w2)
+            got_o = stuffle_o(w1, w2)
+        clear_caches()
+        assert len(got_t) == 3 * n
+        assert got_t == stuffle_combinatorial((2,) * n, (3,))
+        assert Element((w, c) for w, c in got_o.items() if not w.endswith("x")) == got_t
 
     @pytest.mark.parametrize("oracle", [stuffle_classical, stuffle_combinatorial])
     @pytest.mark.parametrize("left", [(2.5,), (2, Fraction(3, 2)), (0,), (2, -1)])
