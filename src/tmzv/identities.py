@@ -73,23 +73,37 @@ def numeric_comparison(
     return VerifyReport(statement, dict(params), diff <= bound, witness)
 
 
+def _part_choices(total: int, slots: int, even_parts: int | None) -> Iterator[tuple[int, int, int | None]]:
+    """The values of the first of ``slots`` parts summing to ``total``, in
+    increasing order, each with the total and even count left for the rest."""
+    for first in range(1, total - slots + 2):
+        rest_even = None if even_parts is None else even_parts - (1 - first % 2)
+        if rest_even is None or 0 <= rest_even < slots:
+            yield first, total - first, rest_even
+
+
 def _compositions(total: int, length: int, even_parts: int | None = None) -> Iterator[tuple[int, ...]]:
     """Compositions of ``total`` into ``length`` positive integers, in
     lexicographic order; with ``even_parts`` set, exactly that many entries
-    are even."""
+    are even. Depth first, with a stack of (parts so far, choices left for
+    the next part), so no length depends on the recursion limit."""
     if length == 0:
         if total == 0 and even_parts in (None, 0):
             yield ()
         return
-    for first in range(1, total - (length - 1) + 1):
-        if even_parts is None:
-            rest_even = None
-        else:
-            rest_even = even_parts - (1 - first % 2)
-            if rest_even < 0 or rest_even > length - 1:
-                continue
-        for rest in _compositions(total - first, length - 1, rest_even):
-            yield (first,) + rest
+    stack = [((), _part_choices(total, length, even_parts))]
+    while stack:
+        prefix, choices = stack[-1]
+        step = next(choices, None)
+        if step is None:
+            stack.pop()
+            continue
+        first, rest, rest_even = step
+        comp = (*prefix, first)
+        if len(comp) < length:
+            stack.append((comp, _part_choices(rest, length - len(comp), rest_even)))
+        elif rest == 0:  # the last part; its choices already left no evens
+            yield comp
 
 
 Bracket = list[tuple[str, TPoly]]

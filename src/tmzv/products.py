@@ -84,11 +84,12 @@ class _Memo(dict):
 
 def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
     """The product of two y-ended words by the table fill of the module
-    docstring; each state it builds goes into the memo."""
+    docstring; each state it builds goes into the memo. Both callers have
+    checked the words, so an empty side returns the other word as it is."""
     if not w1:
-        return Element.from_word(w2)
+        return Element._unsafe({w2: POLY_ONE})
     if not w2:
-        return Element.from_word(w1)
+        return Element._unsafe({w1: POLY_ONE})
     cache = _CACHE_O if open_ else _CACHE_T
     key = (w1, w2) if w1 <= w2 else (w2, w1)  # both products are symmetric
     hit = cache.get(key)

@@ -85,16 +85,20 @@ def indices_up_to(max_depth: int, max_part: int, include_empty: bool = False) ->
 
 
 def admissible_indices(max_weight: int, max_depth: int) -> Iterator[tuple[int, ...]]:
-    def extend(prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-        if prefix:
-            yield prefix
-        if len(prefix) == max_depth:
-            return
-        lo = 2 if not prefix else 1
-        for part in range(lo, remaining + 1):
-            yield from extend(prefix + (part,), remaining - part)
-
-    yield from extend((), max_weight)
+    """Indices with first part >= 2, weight <= max_weight and depth <=
+    max_depth, each followed by its extensions; depth first, with a stack of
+    (index, weight left, parts still to try), so nothing recurses."""
+    stack = [((), max_weight, iter(range(2, max_weight + 1)))] if max_depth else []
+    while stack:
+        prefix, left, parts = stack[-1]
+        part = next(parts, None)
+        if part is None:
+            stack.pop()
+            continue
+        idx = prefix + (part,)
+        yield idx
+        if len(idx) != max_depth:
+            stack.append((idx, left - part, iter(range(1, left - part + 1))))
 
 
 # ---------------------------------------------------------------------------

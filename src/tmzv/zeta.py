@@ -12,7 +12,11 @@ resulting word; the two must agree at equal cutoff.
 Identities are always compared with both sides truncated at the same
 cutoff, so the slowly decaying truncation error largely cancels.
 
-Evaluations are cached per (index, cutoff); everything is pure.
+Truncated sums are cached per (index, cutoff). The image of a word under the
+map does not depend on t0 or the cutoff, so ``z_t_eval`` compiles it once
+into float coefficients and indices, memoized per word (at most
+``_COMPILED_MAX`` words), and a call at a new t0 only runs a Horner loop per
+term. ``clear_cache`` empties both memos; everything is pure.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ def _truncated(parts: tuple[int, ...], cutoff: int, strict: bool) -> float:
 
 def clear_cache() -> None:
     _truncated.cache_clear()
+    _compiled_word.cache_clear()
 
 
 def mzv(idx: Iterable[int], cfg: EvalConfig) -> float:
@@ -102,20 +107,46 @@ def zeta_t_boxes(idx: Iterable[int], cfg: EvalConfig) -> float:
     return total
 
 
+# A compiled image: one term per word in ``sorted_items`` order, holding its
+# coefficient as floats, highest power of t first, and its index (None for
+# the empty word).
+_Compiled = tuple[tuple[tuple[float, ...], tuple[int, ...] | None], ...]
+
+# Words whose compiled image is kept; numeric-eval asks for 381.
+_COMPILED_MAX = 1024
+
+
+def _compile(mapped: Element) -> _Compiled:
+    floats: dict[tuple, tuple[float, ...]] = {}  # coeffs -> floats, shared per distinct coefficient
+    terms = []
+    for word, coeff in mapped.sorted_items():
+        fs = floats.get(coeff.coeffs)
+        if fs is None:
+            fs = floats[coeff.coeffs] = tuple(float(c) for c in reversed(coeff.coeffs))
+        if word and (not word.startswith("x") or not word.endswith("y")):
+            raise NotInH0Error(f"word {word!r} is not admissible")
+        terms.append((fs, index_of_word(word) if word else None))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=_COMPILED_MAX)
+def _compiled_word(word: str) -> _Compiled:
+    return _compile(s_t(word))
+
+
 def z_t_eval(a: str | Element, cfg: EvalConfig) -> float:
     """Interpolated evaluation through the last-letter-fixed map.
 
     Every word of the mapped element must be empty or admissible (start x,
-    end y); otherwise :class:`NotInH0Error` is raised.
+    end y); otherwise :class:`NotInH0Error` is raised. A word's compiled image
+    is memoized; an Element is compiled on each call.
     """
-    mapped = s_t(a)
+    compiled = _compiled_word(a) if isinstance(a, str) else _compile(s_t(a))
+    t0, cutoff = cfg.t0, cfg.cutoff
     total = 0.0
-    for word, coeff in mapped.sorted_items():
-        value = coeff.eval_float(cfg.t0)
-        if word == "":
-            total += value
-            continue
-        if not word.startswith("x") or not word.endswith("y"):
-            raise NotInH0Error(f"word {word!r} is not admissible")
-        total += value * _truncated(index_of_word(word), cfg.cutoff, True)
+    for fs, parts in compiled:
+        value = 0.0
+        for f in fs:
+            value = value * t0 + f
+        total += value if parts is None else value * _truncated(parts, cutoff, True)
     return total

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmzv
-from tmzv.cli import main
+from tmzv.cli import _print_reports, main
 from tmzv.products import stuffle_t
-from tmzv.sweeps import STATEMENTS
+from tmzv.sweeps import STATEMENTS, run_statement
 from tmzv.words import Element
 from tmzv.zeta import EvalConfig, mzv
 
@@ -138,6 +138,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "recursive", "--max", "2")
         assert code == 0
         assert "pass" in out
+
+    @pytest.mark.parametrize(
+        "statement, params", [("power-product", "m=1100,n=0,p=1"), ("closed-form", "m=2,u=2,p=1,n=1100,v=0")]
+    )
+    def test_compositions_deeper_than_the_recursion_limit(self, capsys, statement, params):
+        code, out, err = run(capsys, "verify", statement, "--params", params)
+        assert (code, err) == (0, "")
+        assert out.endswith(": pass\n")
 
     def test_unknown_statement(self, capsys):
         code, _, err = run(capsys, "verify", "nonsense")
@@ -411,4 +419,23 @@ class TestVerifyAllBytes:
         assert (
             hashlib.sha256(data).hexdigest()
             == "0d69e5c13d42e117406c42fae19c77a30357280b0f42804c0b86719dc1bb551f"
+        )
+
+    def test_exact_statements_json_is_unchanged(self, capsys):
+        # the reports of every statement with no float result, dumped as
+        # `verify --json` dumps them; the numeric statements are left out
+        # because their float bits may vary with the numpy build
+        numeric = {"zeta-formulas", "box-map", "decomposition", "alternating-numeric"}
+        reports = [
+            report
+            for name in STATEMENTS
+            if name not in numeric
+            for report in run_statement(name, max_size=2)
+        ]
+        _print_reports(reports)
+        data = capsys.readouterr().out.encode()
+        assert len(reports) == 326 and len(data) == 35_270
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "d63e8463c2a30657f4ec85711259febd2bee8c7471579630362b22154f298dea"
         )

@@ -116,6 +116,19 @@ class TestWordPairPath:
         with pytest.raises(NotInH1Error):
             op(left, right)
 
+    @pytest.mark.parametrize("left, right", [("", "xzy"), ("xzy", ""), ("", "y y")])
+    def test_bad_letter_beside_empty_word_raises(self, op, left, right):
+        # an empty side skips the engine, not the checks of the other word
+        with pytest.raises(ValueError, match="not in alphabet"):
+            op(left, right)
+        with pytest.raises(ValueError, match="not in alphabet"):
+            op(Element.from_word(""), Element._unsafe({left or right: POLY_ONE}))
+
+    def test_empty_side_returns_the_other_word(self, op):
+        for word in ("", "y", "xy", "xxyxy"):
+            assert op("", word) == Element.from_word(word)
+            assert op(word, "") == Element.from_word(word)
+
     def test_use_leaves_memo_entry_intact(self, op):
         clear_caches()
         got = op("xyy", "xxyy")

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from tmzv.cli import main
-from tmzv.identities import VerifyReport
-from tmzv.sweeps import STATEMENTS, SweepArgs, indices_up_to, run_statement
+from tmzv.identities import VerifyReport, _compositions
+from tmzv.sweeps import STATEMENTS, SweepArgs, admissible_indices, indices_up_to, run_statement
 from tmzv.words import Element
 from tmzv.zeta import clear_cache
 
@@ -33,6 +34,62 @@ class TestRanges:
     def test_indices_enumeration_is_deterministic(self):
         first = list(indices_up_to(2, 2, include_empty=True))
         assert first == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def recursive_compositions(total, length, even_parts=None):
+    if length == 0:
+        if total == 0 and even_parts in (None, 0):
+            yield ()
+        return
+    for first in range(1, total - (length - 1) + 1):
+        if even_parts is None:
+            rest_even = None
+        else:
+            rest_even = even_parts - (1 - first % 2)
+            if rest_even < 0 or rest_even > length - 1:
+                continue
+        for rest in recursive_compositions(total - first, length - 1, rest_even):
+            yield (first,) + rest
+
+
+def recursive_admissible_indices(max_weight, max_depth):
+    def extend(prefix, remaining):
+        if prefix:
+            yield prefix
+        if len(prefix) == max_depth:
+            return
+        for part in range(2 if not prefix else 1, remaining + 1):
+            yield from extend(prefix + (part,), remaining - part)
+
+    yield from extend((), max_weight)
+
+
+class TestEnumerations:
+    """The enumerations keep the order of their recursive definitions
+    without recursing."""
+
+    def test_compositions_match_recursive_reference(self):
+        for total in range(9):
+            for length in range(9):
+                for even_parts in (None, *range(-1, length + 2)):
+                    got = list(_compositions(total, length, even_parts))
+                    assert got == list(recursive_compositions(total, length, even_parts)), (
+                        total, length, even_parts,
+                    )
+
+    def test_admissible_indices_match_recursive_reference(self):
+        for max_weight in range(10):
+            for max_depth in range(6):
+                got = list(admissible_indices(max_weight, max_depth))
+                assert got == list(recursive_admissible_indices(max_weight, max_depth))
+
+    def test_compositions_longer_than_the_recursion_limit(self):
+        assert sys.getrecursionlimit() < 1100
+        assert list(_compositions(1100, 1100, 0)) == [(1,) * 1100]
+        assert list(_compositions(1100, 1100, 1)) == []
+        assert list(_compositions(1101, 1100)) == [
+            (1,) * i + (2,) + (1,) * (1099 - i) for i in range(1099, -1, -1)
+        ]
 
 
 class TestRegistry:

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from tmzv import zeta
 from tmzv.errors import DivergentError, NotInH0Error
+from tmzv.interpolation import s_t
 from tmzv.products import stuffle_t
-from tmzv.words import Element, word_of_index
-from tmzv.zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
+from tmzv.words import Element, index_of_word, word_of_index
+from tmzv.zeta import EvalConfig, clear_cache, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
 
 def admissible_indices(max_weight, max_depth):
@@ -120,3 +122,89 @@ class TestMappedEvaluation:
                     lhs = z_t_eval(prod, cfg)
                     rhs = z_t_eval(w1, cfg) * z_t_eval(w2, cfg)
                     assert abs(lhs - rhs) <= 1e-3, (indices[a], indices[b], cfg.t0)
+
+
+def mapped_reference(a, cfg):
+    """z_t_eval as it was before the compiled memo: map, sort, and evaluate
+    each coefficient and word afresh."""
+    total = 0.0
+    for word, coeff in s_t(a).sorted_items():
+        value = coeff.eval_float(cfg.t0)
+        if word == "":
+            total += value
+            continue
+        if not word.startswith("x") or not word.endswith("y"):
+            raise NotInH0Error(f"word {word!r} is not admissible")
+        total += value * mzv(index_of_word(word), cfg)
+    return total
+
+
+class TestCompiledMemo:
+    """A word's image under s_t is compiled once and evaluated at each t0;
+    the values stay bit for bit those of mapping on every call."""
+
+    T0S = (0.0, 0.5, 1.0, -1.0, 0.37)
+    WORDS = [word_of_index(idx) for idx in admissible_indices(8, 8)]
+
+    def test_cold_and_warm_equal_the_reference(self):
+        for t0 in self.T0S:
+            cfg = EvalConfig(1_000, t0)
+            for word in self.WORDS:
+                want = mapped_reference(word, cfg)
+                clear_cache()
+                assert z_t_eval(word, cfg) == want, (word, t0)  # cold
+                assert z_t_eval(word, cfg) == want, (word, t0)  # warm
+
+    def test_a_word_compiled_at_one_t0_serves_the_others(self):
+        clear_cache()
+        for t0 in self.T0S:
+            cfg = EvalConfig(1_000, t0)
+            for word in self.WORDS:
+                assert z_t_eval(word, cfg) == mapped_reference(word, cfg), (word, t0)
+
+    def test_word_and_element_agree(self):
+        for t0 in self.T0S:
+            cfg = EvalConfig(1_000, t0)
+            for word in self.WORDS:
+                assert z_t_eval(word, cfg) == z_t_eval(Element.from_word(word), cfg)
+        elem = stuffle_t("xxyy", "xy").scale(3) + Element.from_word("")
+        for t0 in self.T0S:
+            cfg = EvalConfig(1_000, t0)
+            assert z_t_eval(elem, cfg) == mapped_reference(elem, cfg)
+
+    def test_rejection_is_not_memoized(self):
+        cfg = EvalConfig(100)
+        for _ in range(3):
+            with pytest.raises(NotInH0Error, match="'yy'"):
+                z_t_eval("yy", cfg)
+            with pytest.raises(NotInH0Error, match="'yy'"):
+                z_t_eval(Element.from_word("yy"), cfg)
+
+    def test_clear_cache_empties_the_bounded_memo(self):
+        info = zeta._compiled_word.cache_info
+        assert info().maxsize == zeta._COMPILED_MAX > 381
+        z_t_eval("xxyy", EvalConfig(100))
+        assert info().currsize > 0
+        clear_cache()
+        assert info().currsize == 0
+
+    def test_s_t_runs_once_per_word_between_clears(self, monkeypatch):
+        # looked up by module name at call time, so a wrapper sees each call
+        calls = []
+        monkeypatch.setattr(zeta, "s_t", lambda a: calls.append(a) or s_t(a))
+        clear_cache()
+        for t0 in self.T0S:
+            z_t_eval("xyxy", EvalConfig(100, t0))
+        assert calls == ["xyxy"]
+        elem = Element.from_word("xyxy")
+        z_t_eval(elem, EvalConfig(100))
+        z_t_eval(elem, EvalConfig(100))
+        assert calls == ["xyxy", elem, elem]
+        clear_cache()
+
+    def test_equal_coefficients_share_one_float_tuple(self):
+        compiled = zeta._compile(s_t("xyyyy"))
+        assert len(compiled) == 8
+        by_value = {}
+        for floats, _ in compiled:
+            assert by_value.setdefault(floats, floats) is floats
