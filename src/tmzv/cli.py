@@ -254,6 +254,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown statement {args.statement!r}; choose from: all, " + ", ".join(STATEMENTS)
         )
+    if args.cutoff is not None:
+        EvalConfig(args.cutoff)  # refuses a cutoff out of range before any sweep runs
     reports: list[VerifyReport] = []
     for name in names:
         started = time.perf_counter()

@@ -182,12 +182,6 @@ class TPoly:
             scale *= q
         return _canon(Fraction(acc, scale // q)) if self.coeffs else 0
 
-    def eval_float(self, t0: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t0 + float(c)
-        return acc
-
     def to_json(self) -> list[str]:
         """Coefficients as "num/den" strings, ascending powers of t."""
         return [f"{c}/1" if type(c) is int else format_rational(c) for c in self.coeffs]

@@ -2,38 +2,57 @@
 
 ``mzv`` computes the nested sum of prod m_i^(-k_i) over
 cutoff >= m_1 > ... > m_n >= 1 by inner-to-outer prefix sums — O(depth *
-cutoff) time and O(cutoff) space instead of the naive O(cutoff^depth) nested
-loops. ``mzv_star`` uses weak inequalities. ``zeta_t_boxes`` sums all
-2^(n-1) comma/plus contractions of the index, weighting a contraction that
-merges down to depth d by t0^(n-d). ``z_t_eval`` instead routes an algebra
-element through the last-letter-fixed substitution map and evaluates each
-resulting word; the two must agree at equal cutoff.
+cutoff) time instead of the naive O(cutoff^depth) nested loops, in two work
+buffers of cutoff floats besides the power arrays. ``mzv_star`` uses weak
+inequalities. ``zeta_t_boxes`` sums all 2^(n-1) comma/plus contractions of
+the index, weighting a contraction that merges down to depth d by t0^(n-d).
+``z_t_eval`` instead routes an algebra element through the last-letter-fixed
+substitution map and evaluates each resulting word; the two must agree at
+equal cutoff.
 
 Identities are always compared with both sides truncated at the same
 cutoff, so the slowly decaying truncation error largely cancels.
 
-Truncated sums are cached per (index, cutoff). The image of a word under the
-map does not depend on t0 or the cutoff, so ``z_t_eval`` compiles it once
-into float coefficients and indices, memoized per word (at most
-``_COMPILED_MAX`` words), and a call at a new t0 only runs a Horner loop per
-term. ``clear_cache`` empties both memos; everything is pure.
+Truncated sums are cached per (index, cutoff). The power arrays m^-k for
+m = 1..cutoff do not depend on the index, so they are kept read-only between
+misses, least recently used first, in a budget of ``_POWER_FLOATS`` floats
+in all; an array larger than the budget is computed for its call only. The
+image of a word under the map does not depend on t0 or the cutoff, so
+``z_t_eval`` compiles it once into float coefficients and indices, memoized
+per word (at most ``_COMPILED_MAX`` words), and a call at a new t0 only runs
+a Horner loop per term. ``clear_cache`` empties all three memos; every
+evaluator is pure. A cutoff above ``MAX_CUTOFF`` and a boxes index deeper
+than ``MAX_BOXES_DEPTH`` are refused with :class:`BadParamsError`.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from threading import Lock
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import BadParamsError, DivergentError, NotInH0Error
 from .interpolation import s_t
 from .words import Element, index_of_word
 
+if TYPE_CHECKING:
+    import numpy as np
+
+
+# Input limits: a cutoff costs O(cutoff) floats per pass, and the contraction
+# enumeration sums 2^(depth-1) truncated values, so each part past the limit
+# doubles its time.
+MAX_CUTOFF = 10**7
+MAX_BOXES_DEPTH = 16
+
 
 @dataclass(frozen=True)
 class EvalConfig:
     """Truncation cutoff for the outermost summation variable, plus the value
-    of the interpolation parameter."""
+    of the interpolation parameter. A cutoff outside 1..``MAX_CUTOFF`` raises
+    :class:`BadParamsError`."""
 
     cutoff: int
     t0: float = 0.0
@@ -41,6 +60,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.cutoff < 1:
             raise BadParamsError(f"cutoff must be >= 1, got {self.cutoff}")
+        if self.cutoff > MAX_CUTOFF:
+            raise BadParamsError(f"cutoff must be <= MAX_CUTOFF = {MAX_CUTOFF:,}, got {self.cutoff}")
 
 
 def _require_admissible(idx: Iterable[int]) -> tuple[int, ...]:
@@ -50,27 +71,66 @@ def _require_admissible(idx: Iterable[int]) -> tuple[int, ...]:
     return parts
 
 
-@lru_cache(maxsize=None)
-def _truncated(parts: tuple[int, ...], cutoff: int, strict: bool) -> float:
+# Kept m^-k arrays, least recently used first. They do not depend on the
+# index, so every miss at one cutoff shares them; the budget counts floats in
+# all (two arrays at cutoff 1e5) and an array larger than it is not kept.
+_POWER_FLOATS = 200_000
+_powers_kept: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+_powers_floats = 0
+_powers_lock = Lock()
+
+
+def _powers(k: int, cutoff: int) -> np.ndarray:
+    """m^-k for m = 1..cutoff as a read-only float64 array."""
+    global _powers_floats
+    key = (k, cutoff)
+    with _powers_lock:
+        kept = _powers_kept.get(key)
+        if kept is not None:
+            _powers_kept.move_to_end(key)
+            return kept
     import numpy as np  # loaded on first evaluation, so the exact paths start without it
 
-    vals = np.arange(1, cutoff + 1, dtype=np.float64)
-    cur = None
-    for k in reversed(parts):
-        powers = vals ** float(-k)
-        if cur is None:
-            cur = powers
-        else:
-            prefix = np.cumsum(cur)
+    powers = np.arange(1, cutoff + 1, dtype=np.float64) ** float(-k)
+    powers.flags.writeable = False
+    if cutoff <= _POWER_FLOATS:
+        with _powers_lock:
+            if key not in _powers_kept:
+                while _powers_floats + cutoff > _POWER_FLOATS:
+                    _powers_floats -= _powers_kept.popitem(last=False)[1].size
+                _powers_kept[key] = powers
+                _powers_floats += cutoff
+    return powers
+
+
+@lru_cache(maxsize=None)
+def _truncated(parts: tuple[int, ...], cutoff: int, strict: bool) -> float:
+    cur = _powers(parts[-1], cutoff)
+    if len(parts) > 1:
+        import numpy as np
+
+        prefix, buf = np.empty(cutoff), np.empty(cutoff)
+        for k in reversed(parts[:-1]):
+            powers = _powers(k, cutoff)
+            np.cumsum(cur, out=prefix)
             if strict:
-                prefix = np.concatenate(([0.0], prefix[:-1]))
-            cur = powers * prefix
+                # the leading zero keeps the summed length, and so numpy's
+                # pairwise-sum blocks and every bit of the result
+                buf[0] = 0.0
+                np.multiply(powers[1:], prefix[:-1], out=buf[1:])
+            else:
+                np.multiply(powers, prefix, out=buf)
+            cur = buf
     return float(cur.sum())
 
 
 def clear_cache() -> None:
+    global _powers_floats
     _truncated.cache_clear()
     _compiled_word.cache_clear()
+    with _powers_lock:
+        _powers_kept.clear()
+        _powers_floats = 0
 
 
 def mzv(idx: Iterable[int], cfg: EvalConfig) -> float:
@@ -89,10 +149,13 @@ def zeta_t_boxes(idx: Iterable[int], cfg: EvalConfig) -> float:
 
     Every way of replacing commas of (k_1, ..., k_n) by plus signs yields a
     contracted index p evaluated as a plain truncated sum, weighted by
-    t0^(n - dep(p)).
+    t0^(n - dep(p)). An index of more than ``MAX_BOXES_DEPTH`` parts raises
+    :class:`BadParamsError`.
     """
     parts = _require_admissible(idx)
     n = len(parts)
+    if n > MAX_BOXES_DEPTH:
+        raise BadParamsError(f"boxes take at most MAX_BOXES_DEPTH = {MAX_BOXES_DEPTH} parts, got {n}")
     total = 0.0
     for mask in range(1 << (n - 1)):
         contracted = [parts[0]]

@@ -244,6 +244,14 @@ class TestUsageErrors:
             (["verify", "properties", "--seed", "1_0"], "--seed: malformed integer"),
             (["verify", "properties", "--cases", "٣"], "--cases: malformed integer"),
             (["eq31", "--max", "+"], "--max: malformed integer"),
+            (["zeta", "--index", "2", "--cutoff", "10000001"], "MAX_CUTOFF = 10,000,000"),
+            (["zeta-t", "--index", "2", "--t", "0.5", "--cutoff", "10000001"], "MAX_CUTOFF"),
+            (["verify", "all", "--cutoff", "100000000"], "MAX_CUTOFF = 10,000,000"),
+            (
+                ["verify", "decomposition", "--params", RECURSIVE, "--cutoff", "100000000"],
+                "MAX_CUTOFF",
+            ),
+            (["zeta-t", "--index", "2" + ",1" * 16, "--t", "0.5", "--cutoff", "10"], "MAX_BOXES_DEPTH = 16"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):

@@ -78,10 +78,6 @@ class TestTPoly:
         assert ONE_MINUS_2T.eval(Fraction(1)) == -1
         assert T2_MINUS_T.eval(Fraction(1)) == 0
 
-    def test_eval_float(self):
-        assert ONE_MINUS_2T.eval_float(0.5) == 0.0
-        assert abs(T2_MINUS_T.eval_float(0.5) + 0.25) < 1e-15
-
     def test_pow(self):
         assert ONE_MINUS_2T**0 == POLY_ONE
         assert ONE_MINUS_2T**2 == ONE_MINUS_2T * ONE_MINUS_2T

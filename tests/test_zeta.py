@@ -1,11 +1,14 @@
 """Unit tests for the truncated numerical evaluators."""
 
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from tmzv import zeta
-from tmzv.errors import DivergentError, NotInH0Error
+from tmzv.errors import BadParamsError, DivergentError, NotInH0Error
 from tmzv.interpolation import s_t
 from tmzv.products import stuffle_t
 from tmzv.words import Element, index_of_word, word_of_index
@@ -29,6 +32,11 @@ class TestConfig:
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ValueError):
             EvalConfig(0)
+
+    def test_rejects_cutoff_above_the_limit(self):
+        assert EvalConfig(zeta.MAX_CUTOFF).cutoff == zeta.MAX_CUTOFF
+        with pytest.raises(BadParamsError, match="MAX_CUTOFF"):
+            EvalConfig(zeta.MAX_CUTOFF + 1)
 
 
 class TestMzv:
@@ -75,6 +83,12 @@ class TestBoxes:
         cfg = EvalConfig(5_000, 0.0)
         for idx in ((2,), (2, 1), (3, 1, 2)):
             assert zeta_t_boxes(idx, cfg) == mzv(idx, cfg)
+
+    def test_rejects_indices_deeper_than_the_limit(self):
+        cfg = EvalConfig(10, 0.5)
+        zeta_t_boxes((2,) + (1,) * (zeta.MAX_BOXES_DEPTH - 1), cfg)
+        with pytest.raises(BadParamsError, match="MAX_BOXES_DEPTH"):
+            zeta_t_boxes((2,) + (1,) * zeta.MAX_BOXES_DEPTH, cfg)
 
     def test_t0_one_is_star(self):
         for idx in ((2, 2), (2, 1), (3, 1, 2)):
@@ -129,7 +143,9 @@ def mapped_reference(a, cfg):
     each coefficient and word afresh."""
     total = 0.0
     for word, coeff in s_t(a).sorted_items():
-        value = coeff.eval_float(cfg.t0)
+        value = 0.0
+        for c in reversed(coeff.coeffs):
+            value = value * cfg.t0 + float(c)
         if word == "":
             total += value
             continue
@@ -208,3 +224,117 @@ class TestCompiledMemo:
         by_value = {}
         for floats, _ in compiled:
             assert by_value.setdefault(floats, floats) is floats
+
+
+def truncated_reference(parts, cutoff, strict):
+    """_truncated as it was before the kept powers: fresh arrays on every call."""
+    vals = np.arange(1, cutoff + 1, dtype=np.float64)
+    cur = None
+    for k in reversed(parts):
+        powers = vals ** float(-k)
+        if cur is None:
+            cur = powers
+        else:
+            prefix = np.cumsum(cur)
+            if strict:
+                prefix = np.concatenate(([0.0], prefix[:-1]))
+            cur = powers * prefix
+    return float(cur.sum())
+
+
+def kept_floats():
+    return sum(powers.size for powers in zeta._powers_kept.values())
+
+
+class TestKeptPowers:
+    """The m^-k arrays are kept between misses in a budget of floats; the
+    values stay bit for bit those of fresh arrays."""
+
+    INDICES = list(admissible_indices(9, 4))
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 17, 10_000, 100_000, zeta._POWER_FLOATS + 1])
+    def test_cold_warm_and_evicted_equal_the_reference(self, cutoff):
+        for parts in self.INDICES:
+            for strict in (True, False):
+                want = truncated_reference(parts, cutoff, strict)
+                clear_cache()
+                assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)  # cold
+                if cutoff > zeta._POWER_FLOATS:
+                    assert not zeta._powers_kept  # nothing is kept, so every call is cold
+                    continue
+                zeta._truncated.cache_clear()
+                assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)  # warm
+                zeta._truncated.cache_clear()
+                zeta._powers(1, zeta._POWER_FLOATS)  # evicts every other kept array
+                assert list(zeta._powers_kept) == [(1, zeta._POWER_FLOATS)]
+                assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)  # evicted
+                assert zeta._powers_floats == kept_floats() <= zeta._POWER_FLOATS
+        clear_cache()
+
+    def test_kept_floats_stay_within_the_budget(self):
+        clear_cache()
+        for cutoff in (17, 100_000, 10_000, 60_000, 100_000, 1, zeta._POWER_FLOATS):
+            for k in (2, 1, 3, 2):
+                zeta._powers(k, cutoff)
+                assert zeta._powers_floats == kept_floats() <= zeta._POWER_FLOATS
+                assert (k, cutoff) in zeta._powers_kept
+        zeta._powers(2, zeta._POWER_FLOATS + 1)
+        assert (2, zeta._POWER_FLOATS + 1) not in zeta._powers_kept
+        assert list(zeta._powers_kept) == [(2, zeta._POWER_FLOATS)]
+        clear_cache()
+
+    def test_least_recently_used_is_evicted_first(self):
+        clear_cache()
+        half = zeta._POWER_FLOATS // 2
+        first = zeta._powers(2, half)
+        zeta._powers(3, half)
+        assert zeta._powers(2, half) is first  # a hit, now the most recent
+        zeta._powers(4, half)
+        assert list(zeta._powers_kept) == [(2, half), (4, half)]
+        clear_cache()
+
+    def test_kept_arrays_reject_writes(self):
+        clear_cache()
+        mzv((2, 1), EvalConfig(100))
+        assert zeta._powers_kept
+        for powers in zeta._powers_kept.values():
+            with pytest.raises(ValueError):
+                powers[0] = 1.0
+        with pytest.raises(ValueError):
+            zeta._powers(2, zeta._POWER_FLOATS + 1)[0] = 1.0
+        clear_cache()
+
+    def test_clear_cache_empties_the_kept_powers(self):
+        mzv_star((3, 1, 2), EvalConfig(1_000))
+        assert zeta._powers_floats > 0 and zeta._powers_kept
+        clear_cache()
+        assert zeta._powers_floats == 0 and not zeta._powers_kept
+
+    def test_threads_keep_the_budget(self):
+        clear_cache()
+        cutoffs = (1, 17, 5_000, 60_000, 100_000)
+        errors = []
+
+        def hammer(offset):
+            try:
+                for i in range(60):
+                    k = 2 + (i + offset) % 3
+                    cutoff = cutoffs[(i * 3 + offset) % len(cutoffs)]
+                    assert zeta._powers(k, cutoff)[-1] == float(cutoff) ** -k
+            except Exception as exc:  # re-raised by the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert zeta._powers_floats == kept_floats() <= zeta._POWER_FLOATS
+        clear_cache()
