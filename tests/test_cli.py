@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -414,6 +415,110 @@ class TestParsing:
         code, out, err = run(capsys, *argv)
         assert code == 0
         assert out.startswith("usage: tmzv") and err == ""
+
+
+_RECURSIVE_ONE = ["verify", "recursive", "--params", RECURSIVE]
+
+
+class TestGoldenOutput:
+    """The stdout bytes and exit code of each command, pinned by sha256; a
+    sweep's ``[  n.nns]`` timing column is masked first. The zeta values are
+    printed at 12 significant digits, or as the one float in ``--json``."""
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (
+                ["product", "--left", "2,1", "--right", "3,1", "--op", "t"],
+                0, "00df6822605d03d3868803efb2de62ab122cea51f3547a620350b4d99e02974b",
+            ),
+            (
+                ["product", "--left", "2,1", "--right", "3,1", "--op", "o"],
+                0, "b3a907468e8b5c0fd3f08326ba851a8c04383877d1f096f9ee7d72b5b84e3e32",
+            ),
+            (
+                ["product", "--left", "2,1", "--right", "3,1", "--op", "classical"],
+                0, "0afe22d0a4d538a3e4f296103fe712732160f2f17b2d0bece3ba4895ce3be16c",
+            ),
+            (
+                ["product", "--left", "2,1", "--right", "3", "--t", "-1/2"],
+                0, "4927bc741032ebb0ebc1407054ff9e7f4d486a02af6db342dcca11402251ca55",
+            ),
+            (
+                ["product", "--left", "2,1", "--right", "3", "--op", "o", "--json"],
+                0, "6bfd1317c165cd6fa344b71a0dcf49a3b5ce91cc24cef7f4086c145d3690e34a",
+            ),
+            (
+                ["st", "--word", "xyxxyy"],
+                0, "a8df99ccf1a614b97efe91fc62288e9045342488b064475d3717ac8a267534cb",
+            ),
+            (
+                ["st", "--word", "xyxy", "--json"],
+                0, "33424cea2bd0e5696dd20b8eea0054be982452b734019aace0906b873e2964a7",
+            ),
+            (
+                ["zeta", "--index", "2,1", "--cutoff", "1000"],
+                0, "9c7c91638b93b9f84a0fc3cb8eaee39d5b0fe79ff405de6d9c5a89ce1d73c77a",
+            ),
+            (
+                ["zeta-star", "--index", "2,2", "--cutoff", "1000"],
+                0, "eff8754ef55620e5157ebd6ba6f3c9db4bf71c29405660cb673b154810a3541e",
+            ),
+            (
+                ["zeta", "--index", "3,1", "--cutoff", "1000", "--json"],
+                0, "10613e80cd629b37a88354de56a5e6695f04bcf89764d2009c07532c1e007e33",
+            ),
+            (
+                ["zeta-t", "--index", "2,1,1", "--t", "1/2", "--cutoff", "1000"],
+                0, "0099375496abd36be3d146602a0a3e0a7aa6ae24394f5599fa13fd5ea3e5a870",
+            ),
+            (
+                ["zeta-t", "--index", "2,1,1", "--t", "1/2", "--cutoff", "1000", "--method", "st"],
+                0, "0099375496abd36be3d146602a0a3e0a7aa6ae24394f5599fa13fd5ea3e5a870",
+            ),
+            (
+                _RECURSIVE_ONE,
+                0, "a85ccaa20f225b0bd8e3e86475f3398a9dcfdbc79c4b5dabfc28f2e16427000e",
+            ),
+            (
+                [*_RECURSIVE_ONE, "--json"],
+                0, "ff34f104451987699ecb70a6b47e0c2c3ababfdc17b114cb16254bb6b0884fbd",
+            ),
+            (
+                ["verify", "pivot", "--left", "2,1", "--right", "3", "--params", "j=2"],
+                0, "52b2dc6074856a1ebe00d528153bdd017f0e2e3e96b4184d19836ff25727bb27",
+            ),
+            (
+                ["eq31", "--max", "12"],
+                0, "be930e7e7cd0ed512736fcf7e598d0745c72a013d1b232627b9b6316c8f8e5fc",
+            ),
+            (
+                ["eq31", "--max", "12", "--json"],
+                0, "23833fede7f00257200485479f2bfc8366720410d73dc9305d91423396d7bd56",
+            ),
+            (
+                ["zeta8", "--max", "2"],
+                0, "16eb052a7345a2ba5b506941effe3ecbc6fb30c200efdbbf2ab584b885c3c0c6",
+            ),
+            (
+                ["zeta8", "--max", "2", "--json"],
+                0, "c6fd4b089602d89d9d38b8a3089831f2464eaa12066ff41f2db1dcafc4713a62",
+            ),
+            (
+                ["verify", "power-product", "--max", "2"],
+                0, "6ca3ce41d178e4b52df9319edcb9741332796fb32cdb589b1440017ead60d76e",
+            ),
+            (["--help"], 0, "12c2741ee5ddd9236e708f87d4d4b1e6e7b273063d442da53e6ae10ae7629bc9"),
+            (["eq31", "--help"], 0, "c13014a80a356a90095b5ffadefdd46e1c1ba4504e6dba3f1d8eb8479217a648"),
+            (["zeta8", "--help"], 0, "688055daf8319a8de2bc37e51ae42f2edd876391875bc8c7303e15c46617e08e"),
+            (["frobnicate"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ],
+    )
+    def test_stdout_and_exit_code_are_unchanged(self, capsys, monkeypatch, argv, code, digest):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal width
+        got, out, _ = run(capsys, *argv)
+        masked = re.sub(r"^\[ *\d+\.\d\ds\]", "[TIME]", out, flags=re.M)
+        assert (got, hashlib.sha256(masked.encode()).hexdigest()) == (code, digest)
 
 
 class TestVerifyAllBytes:
