@@ -19,6 +19,7 @@ from typing import NoReturn
 from .errors import BadParamsError, DivergentError, NotInH0Error, NotInH1Error
 from .identities import VerifyReport
 from .interpolation import s_t
+from .products import stuffle_classical, stuffle_o, stuffle_t
 from .sweeps import STATEMENTS, run_statement
 from .words import Element, validate_word, word_of_index
 from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
@@ -96,10 +97,12 @@ def _parse_params(text: str) -> dict[str, int]:
         if "=" not in piece:
             raise UsageError(f"malformed --params entry {piece!r} (expected name=value)")
         key, value = piece.split("=", 1)
-        number = _ascii_int(value, signed=True)
+        key, number = key.strip(), _ascii_int(value, signed=True)
         if number is None:
             raise UsageError(f"malformed --params value {piece!r}")
-        out[key.strip()] = number
+        if key in out:
+            raise UsageError(f"--params names {key!r} more than once")
+        out[key] = number
     return out
 
 
@@ -118,8 +121,6 @@ def _print_value(command: str, value: float, meta: dict, as_json: bool) -> None:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    from .products import stuffle_classical, stuffle_o, stuffle_t
-
     left = _parse_index(args.left)
     right = _parse_index(args.right)
     if args.op == "classical":
@@ -143,16 +144,11 @@ def _cmd_st(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_zeta(args: argparse.Namespace, star: bool) -> int:
+def _cmd_zeta(args: argparse.Namespace) -> int:
     idx = _parse_index(args.index)
     cfg = EvalConfig(args.cutoff)
-    value = mzv_star(idx, cfg) if star else mzv(idx, cfg)
-    _print_value(
-        "zeta-star" if star else "zeta",
-        value,
-        {"index": list(idx), "cutoff": args.cutoff},
-        args.json,
-    )
+    value = mzv_star(idx, cfg) if args.command == "zeta-star" else mzv(idx, cfg)
+    _print_value(args.command, value, {"index": list(idx), "cutoff": args.cutoff}, args.json)
     return 0
 
 
@@ -277,30 +273,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _scalar_reports(reports: list[VerifyReport], as_json: bool, line: str) -> int:
-    """Print the reports of ``eq31``/``zeta8`` as JSON, or one ``line`` each
-    filled in from the verdict, params and witness."""
-    if as_json:
+# eq31 and zeta8: the statement each checks, its least --max (also the step
+# between the checked values) and the line printed for each report
+_SCALAR = {
+    "eq31": ("factorial", 2, "k={k}: {verdict} (lhs={lhs}, rhs={rhs})"),
+    "zeta8": ("gaussian", 1, "l={l}: {verdict} (re={lhs_re}, im={lhs_im})"),
+}
+
+
+def _cmd_scalar(args: argparse.Namespace) -> int:
+    name, least, line = _SCALAR[args.command]
+    _at_least("--max", args.max, least)
+    reports = [STATEMENTS[name].check(value) for value in range(least, args.max + 1, least)]
+    if args.json:
         _print_reports(reports)
     else:
         for report in reports:
             verdict = "pass" if report.passed else "FAIL"
             print(line.format(verdict=verdict, **report.params, **report.witness))
     return 0 if all(report.passed for report in reports) else 1
-
-
-def _cmd_eq31(args: argparse.Namespace) -> int:
-    _at_least("--max", args.max, 2)
-    check = STATEMENTS["factorial"].check
-    reports = [check(k=k) for k in range(2, args.max + 1, 2)]
-    return _scalar_reports(reports, args.json, "k={k}: {verdict} (lhs={lhs}, rhs={rhs})")
-
-
-def _cmd_zeta8(args: argparse.Namespace) -> int:
-    _at_least("--max", args.max, 1)
-    check = STATEMENTS["gaussian"].check
-    reports = [check(l=l) for l in range(1, args.max + 1)]
-    return _scalar_reports(reports, args.json, "l={l}: {verdict} (re={lhs_re}, im={lhs_im})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -317,16 +308,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_product.add_argument("--op", choices=("t", "o", "classical"), default="t")
     p_product.add_argument("--t", help="optionally specialize the result at t (float or p/q)")
     p_product.add_argument("--json", action="store_true")
+    p_product.set_defaults(run=_cmd_product)
 
     p_st = sub.add_parser("st", help="apply the last-letter-fixed substitution map to a word")
     p_st.add_argument("--word", required=True, help="word over {x, y}")
     p_st.add_argument("--json", action="store_true")
+    p_st.set_defaults(run=_cmd_st)
 
     for name in ("zeta", "zeta-star"):
         p_z = sub.add_parser(name, help=f"truncated {name} value of an admissible index")
         p_z.add_argument("--index", required=True)
         p_z.add_argument("--cutoff", type=_int_flag, default=100_000)
         p_z.add_argument("--json", action="store_true")
+        p_z.set_defaults(run=_cmd_zeta)
 
     p_zt = sub.add_parser("zeta-t", help="truncated interpolated value")
     p_zt.add_argument("--index", required=True)
@@ -334,6 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_zt.add_argument("--t", required=True, help="interpolation parameter (float or p/q)")
     p_zt.add_argument("--method", choices=("boxes", "st"), default="boxes")
     p_zt.add_argument("--json", action="store_true")
+    p_zt.set_defaults(run=_cmd_zeta_t)
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("statement", help="statement name or 'all'")
@@ -346,14 +341,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--right", help="right index for pivot/combinatorial/t0-reduction")
     p_verify.add_argument("--t", help="t value for single decomposition checks")
     p_verify.add_argument("--json", action="store_true")
+    p_verify.set_defaults(run=_cmd_verify)
 
-    p_eq31 = sub.add_parser("eq31", help="exact alternating factorial identity, even k")
-    p_eq31.add_argument("--max", type=_int_flag, default=12)
-    p_eq31.add_argument("--json", action="store_true")
-
-    p_zeta8 = sub.add_parser("zeta8", help="exact Gaussian-rational factorial identity")
-    p_zeta8.add_argument("--max", type=_int_flag, default=3)
-    p_zeta8.add_argument("--json", action="store_true")
+    for name, help_text, default in (
+        ("eq31", "exact alternating factorial identity, even k", 12),
+        ("zeta8", "exact Gaussian-rational factorial identity", 3),
+    ):
+        p_scalar = sub.add_parser(name, help=help_text)
+        p_scalar.add_argument("--max", type=_int_flag, default=default)
+        p_scalar.add_argument("--json", action="store_true")
+        p_scalar.set_defaults(run=_cmd_scalar)
 
     return parser
 
@@ -375,23 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = _join_negative_t(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "product":
-            return _cmd_product(args)
-        if args.command == "st":
-            return _cmd_st(args)
-        if args.command == "zeta":
-            return _cmd_zeta(args, star=False)
-        if args.command == "zeta-star":
-            return _cmd_zeta(args, star=True)
-        if args.command == "zeta-t":
-            return _cmd_zeta_t(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "eq31":
-            return _cmd_eq31(args)
-        if args.command == "zeta8":
-            return _cmd_zeta8(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (UsageError, BadParamsError, DivergentError, NotInH0Error, NotInH1Error) as exc:

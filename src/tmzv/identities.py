@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import BadParamsError
 from .exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
-from .products import _check_index, stuffle_o, stuffle_t
-from .words import Element, _concat_into, _iadd, word_of_index, z_word
+from .products import stuffle_o, stuffle_t
+from .words import Element, _check_index, _concat_into, word_of_index, z_word
 from .zeta import EvalConfig, mzv, z_t_eval
 
 
@@ -73,36 +73,21 @@ def numeric_comparison(
     return VerifyReport(statement, dict(params), diff <= bound, witness)
 
 
-def _part_choices(total: int, slots: int, even_parts: int | None) -> Iterator[tuple[int, int, int | None]]:
-    """The values of the first of ``slots`` parts summing to ``total``, in
-    increasing order, each with the total and even count left for the rest."""
-    for first in range(1, total - slots + 2):
-        rest_even = None if even_parts is None else even_parts - (1 - first % 2)
-        if rest_even is None or 0 <= rest_even < slots:
-            yield first, total - first, rest_even
-
-
 def _compositions(total: int, length: int, even_parts: int | None = None) -> Iterator[tuple[int, ...]]:
     """Compositions of ``total`` into ``length`` positive integers, in
     lexicographic order; with ``even_parts`` set, exactly that many entries
-    are even. Depth first, with a stack of (parts so far, choices left for
-    the next part), so no length depends on the recursion limit."""
+    are even. Each is read off its ``length - 1`` cut points in
+    1..total-1, taken in lexicographic order, which is the order of the
+    compositions they cut; nothing recurses."""
     if length == 0:
         if total == 0 and even_parts in (None, 0):
             yield ()
         return
-    stack = [((), _part_choices(total, length, even_parts))]
-    while stack:
-        prefix, choices = stack[-1]
-        step = next(choices, None)
-        if step is None:
-            stack.pop()
-            continue
-        first, rest, rest_even = step
-        comp = (*prefix, first)
-        if len(comp) < length:
-            stack.append((comp, _part_choices(rest, length - len(comp), rest_even)))
-        elif rest == 0:  # the last part; its choices already left no evens
+    if total < length:
+        return
+    for cuts in combinations(range(1, total), length - 1):
+        comp = tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+        if even_parts is None or length - sum(r & 1 for r in comp) == even_parts:
             yield comp
 
 
@@ -155,9 +140,10 @@ def power_product_rhs(m: int, n: int, p: int) -> Element:
         for i in range(k + 1):
             j = k - i
             scale = T2_MINUS_T**i * ONE_MINUS_2T**j * cb
-            # a_w = r_w * p over the compositions r of m + n
+            # a_w = r_w * p over the compositions r of m + n; a word's length
+            # and even count fix its cell, so no word arises twice
             for comp in _compositions(m + n, m + n - i - k, j):
-                _iadd(out, word_of_index(r * p for r in comp), scale)
+                out[word_of_index(r * p for r in comp)] = scale
     return Element._unsafe(out)
 
 
@@ -231,10 +217,8 @@ def alternating_sum_lhs(p: int, k: int) -> Element:
         raise BadParamsError(f"need p, k >= 1, got {(p, k)}")
     total: dict[str, TPoly] = {}
     for a in range(k + 1):
-        sign = (-1) ** a
         prod = stuffle_t(word_of_index((p,) * a), word_of_index((p,) * (k - a)))
-        for w, c in prod.items():
-            _iadd(total, w, c * sign)
+        _concat_into(total, [("", TPoly.const((-1) ** a))], prod.items())
     return Element._unsafe(total)
 
 
@@ -249,12 +233,10 @@ def alternating_sum_rhs(p: int, k: int) -> Element:
     half = k // 2
     sign = (-1) ** half
     out: dict[str, TPoly] = {}
-    for l2 in range(half + 1):
-        l1 = half - l2
-        scale = T2_MINUS_T**l1 * ONE_MINUS_2T**l2 * sign
+    for l2 in range(half + 1):  # a word's length l2 fixes its cell
+        scale = T2_MINUS_T ** (half - l2) * ONE_MINUS_2T**l2 * sign
         for comp in _compositions(half, l2):
-            word = word_of_index(2 * s * p for s in comp)
-            _iadd(out, word, scale)
+            out[word_of_index(2 * s * p for s in comp)] = scale
     return Element._unsafe(out)
 
 

@@ -6,7 +6,8 @@ keeps the final letter of each word fixed and substitutes only in the
 prefix, with the empty word mapped to itself. The default coefficient is
 the polynomial t; passing a constant gives the numeric-parameter
 specialization, under which applying the map at s and then at u equals
-applying it at s + u.
+applying it at s + u. Both add each word's expansion, scaled by the word's
+coefficient, through the concatenation kernel of :mod:`tmzv.words`.
 
 Composed with a truncated evaluator, ``s_t`` turns algebra elements into
 interpolated multiple zeta values (see :mod:`tmzv.zeta`).
@@ -15,7 +16,7 @@ interpolated multiple zeta values (see :mod:`tmzv.zeta`).
 from __future__ import annotations
 
 from .exact import POLY_ONE, POLY_T, TPoly
-from .words import Element, _iadd, validate_word
+from .words import Element, _concat_into, validate_word
 
 
 def _sigma_word(word: str, c: TPoly) -> dict[str, TPoly]:
@@ -51,8 +52,7 @@ def sigma_t(a: str | Element, y_coeff: TPoly | None = None) -> Element:
     elem = Element.from_word(validate_word(a)) if isinstance(a, str) else a
     out: dict[str, TPoly] = {}
     for word, coeff in elem.items():
-        for w, q in _sigma_word(word, c).items():
-            _iadd(out, w, coeff * q)
+        _concat_into(out, [("", coeff)], _sigma_word(word, c).items())
     return Element._unsafe(out)
 
 
@@ -62,11 +62,6 @@ def s_t(a: str | Element, y_coeff: TPoly | None = None) -> Element:
     c = POLY_T if y_coeff is None else y_coeff
     elem = Element.from_word(validate_word(a)) if isinstance(a, str) else a
     out: dict[str, TPoly] = {}
-    for word, coeff in elem.items():
-        if len(word) <= 1:
-            _iadd(out, word, coeff)
-            continue
-        last = word[-1]
-        for w, q in _sigma_word(word[:-1], c).items():
-            _iadd(out, w + last, coeff * q)
+    for word, coeff in elem.items():  # the empty prefix maps to the unit
+        _concat_into(out, _sigma_word(word[:-1], c).items(), [(word[-1:], coeff)])
     return Element._unsafe(out)

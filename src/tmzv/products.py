@@ -47,9 +47,9 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Callable, Hashable, Iterable
 
-from .errors import BadParamsError, NotInH1Error
+from .errors import NotInH1Error
 from .exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
-from .words import Element, _concat_into, validate_word, z_word
+from .words import Element, _check_index, _concat_into, validate_word, z_word
 
 _CACHE_T: dict[tuple[str, str], Element] = {}
 _CACHE_O: dict[tuple[str, str], Element] = {}
@@ -162,14 +162,6 @@ def stuffle_o(a: str | Element, b: str | Element) -> Element:
     """Open variant: the x-run merge term is never suppressed, so output words
     may end in x."""
     return _bilinear(a, b, open_=True)
-
-
-def _check_index(parts: Iterable[int]) -> tuple[int, ...]:
-    given = tuple(parts)
-    idx = tuple(int(k) for k in given)
-    if idx != given or any(k < 1 for k in idx):
-        raise BadParamsError(f"index parts must be positive integers, got {given}")
-    return idx
 
 
 def _merge_patterns(p1: tuple[int, ...], p2: tuple[int, ...], runs: dict[tuple[int, int], TPoly]) -> Element:

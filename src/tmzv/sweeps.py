@@ -16,7 +16,6 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import BadParamsError
 from .exact import TPoly
 from .identities import (
     VerifyReport,
@@ -37,7 +36,7 @@ from .identities import (
 )
 from .interpolation import s_t
 from .products import stuffle_classical, stuffle_combinatorial, stuffle_o, stuffle_t
-from .words import Element, index_of_word, is_admissible, weight, word_of_index
+from .words import Element, _check_index, index_of_word, is_admissible, weight, word_of_index
 from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
 
@@ -107,8 +106,7 @@ def admissible_indices(max_weight: int, max_depth: int) -> Iterator[tuple[int, .
 
 
 def _product(left: Sequence[int], right: Sequence[int]) -> Element:
-    if any(part < 1 for part in (*left, *right)):
-        raise BadParamsError(f"index parts must be positive, got {list(left)} and {list(right)}")
+    _check_index((*left, *right))  # once over both sides: this runs on every check
     return stuffle_t(word_of_index(left), word_of_index(right))
 
 

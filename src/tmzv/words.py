@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Collection, Iterable, ItemsView, Mapping
 
-from .errors import NotInH1Error
+from .errors import BadParamsError, NotInH1Error
 from .exact import _UNIT, POLY_ONE, POLY_ZERO, TPoly
 
 Word = str
@@ -53,6 +53,16 @@ def validate_word(word: str) -> str:
 def word_of_index(parts: Iterable[int]) -> str:
     """Concatenation z_{k_1} ... z_{k_n}; the empty index gives the empty word."""
     return "".join(z_word(k) for k in parts)
+
+
+def _check_index(parts: Iterable[int]) -> tuple[int, ...]:
+    """The index as a tuple of ints; :class:`BadParamsError` unless every
+    part is a positive integer."""
+    given = tuple(parts)
+    idx = tuple(map(int, given))
+    if idx != given or (idx and min(idx) < 1):
+        raise BadParamsError(f"index parts must be positive integers, got {given}")
+    return idx
 
 
 def index_of_word(word: str) -> tuple[int, ...]:
@@ -80,7 +90,7 @@ def weight(parts: Iterable[int]) -> int:
 
 
 def is_admissible(parts: tuple[int, ...]) -> bool:
-    return len(parts) > 0 and parts[0] >= 2 and all(k >= 1 for k in parts)
+    return len(parts) > 0 and parts[0] >= 2 and min(parts) >= 1
 
 
 def _sorted_words(words: Iterable[str]) -> list[str]:
@@ -107,11 +117,12 @@ def _concat_into(out: dict[str, TPoly], left: Iterable[Term], right: Collection[
     """The concatenation kernel: ``out += left · right``, adding ``c1 * c2``
     under ``w1 + w2`` for every pair of terms and skipping the multiplication
     when a left coefficient is 1. ``right`` is walked once per left term, and
-    each distinct pair of coefficients is multiplied once. It serves the
-    builders, the oracles and the bilinear extension (the product engine
-    builds its states from disjoint blocks instead), and adds inline rather
-    than through :func:`_iadd`; both sides hold nonzero coefficients, so
-    only an add can cancel a word."""
+    each distinct pair of coefficients is multiplied once. It is the one
+    accumulate path outside :class:`Element`: it serves the builders, the
+    oracles, the interpolation maps and the bilinear extension (the product
+    engine builds its states from disjoint blocks instead), and adds inline
+    rather than through :func:`_iadd`; both sides hold nonzero
+    coefficients, so only an add can cancel a word."""
     get = out.get
     # c1.coeffs -> c2.coeffs -> c1 * c2
     products: dict[tuple, dict[tuple, TPoly]] = {}

@@ -21,8 +21,9 @@ image of a word under the map does not depend on t0 or the cutoff, so
 ``z_t_eval`` compiles it once into float coefficients and indices, memoized
 per word (at most ``_COMPILED_MAX`` words), and a call at a new t0 only runs
 a Horner loop per term. ``clear_cache`` empties all three memos; every
-evaluator is pure. A cutoff above ``MAX_CUTOFF`` and a boxes index deeper
-than ``MAX_BOXES_DEPTH`` are refused with :class:`BadParamsError`.
+evaluator is pure. A cutoff or index part that is not an integer, a cutoff
+above ``MAX_CUTOFF`` and a boxes index deeper than ``MAX_BOXES_DEPTH`` are
+refused with :class:`BadParamsError`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import BadParamsError, DivergentError, NotInH0Error
 from .interpolation import s_t
-from .words import Element, index_of_word
+from .words import Element, _check_index, index_of_word, is_admissible
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,13 +52,15 @@ MAX_BOXES_DEPTH = 16
 @dataclass(frozen=True)
 class EvalConfig:
     """Truncation cutoff for the outermost summation variable, plus the value
-    of the interpolation parameter. A cutoff outside 1..``MAX_CUTOFF`` raises
-    :class:`BadParamsError`."""
+    of the interpolation parameter. A cutoff that is not an integer in
+    1..``MAX_CUTOFF`` raises :class:`BadParamsError`."""
 
     cutoff: int
     t0: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cutoff, int):
+            raise BadParamsError(f"cutoff must be an integer, got {self.cutoff!r}")
         if self.cutoff < 1:
             raise BadParamsError(f"cutoff must be >= 1, got {self.cutoff}")
         if self.cutoff > MAX_CUTOFF:
@@ -65,10 +68,12 @@ class EvalConfig:
 
 
 def _require_admissible(idx: Iterable[int]) -> tuple[int, ...]:
-    parts = tuple(int(k) for k in idx)
-    if not parts or parts[0] < 2 or any(k < 1 for k in parts):
+    """The index as ints: :class:`DivergentError` unless it is admissible,
+    then :class:`BadParamsError` unless its parts are integers."""
+    parts = tuple(idx)
+    if not is_admissible(parts):
         raise DivergentError(f"index {parts} is not admissible (needs k_1 >= 2, all parts >= 1)")
-    return parts
+    return _check_index(parts)
 
 
 # Kept m^-k arrays, least recently used first. They do not depend on the

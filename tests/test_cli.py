@@ -253,6 +253,7 @@ class TestUsageErrors:
                 "MAX_CUTOFF",
             ),
             (["zeta-t", "--index", "2" + ",1" * 16, "--t", "0.5", "--cutoff", "10"], "MAX_BOXES_DEPTH = 16"),
+            (["verify", "power-product", "--params", "m=1,n=1,p=1,m=2"], "--params names 'm' more than once"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):

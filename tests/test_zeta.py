@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             EvalConfig(0)
 
+    @pytest.mark.parametrize("cutoff", [10.5, 10.0, Fraction(21, 2), "10"])
+    def test_rejects_a_cutoff_that_is_not_an_integer(self, cutoff):
+        with pytest.raises(BadParamsError, match="cutoff must be an integer"):
+            EvalConfig(cutoff)
+
     def test_rejects_cutoff_above_the_limit(self):
         assert EvalConfig(zeta.MAX_CUTOFF).cutoff == zeta.MAX_CUTOFF
         with pytest.raises(BadParamsError, match="MAX_CUTOFF"):
@@ -60,6 +66,17 @@ class TestMzv:
             mzv((), cfg)
         with pytest.raises(DivergentError):
             mzv_star((1,), cfg)
+        for index in [(2, 0), (2, -1)]:  # integral parts below 1 stay divergent
+            with pytest.raises(DivergentError):
+                mzv(index, cfg)
+
+    @pytest.mark.parametrize("index", [(2.5,), (Fraction(5, 2), 1), (3, 1.5)])
+    def test_rejects_non_integral_parts(self, index):
+        # no part is truncated to an int: (2.5,) is not read as (2,)
+        cfg = EvalConfig(1000)
+        for evaluate in (mzv, mzv_star, zeta_t_boxes):
+            with pytest.raises(BadParamsError, match="integers"):
+                evaluate(index, cfg)
 
 
 class TestStar:
