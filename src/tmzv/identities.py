@@ -12,10 +12,10 @@ here. Exact checks compare Elements; numeric checks route both sides
 through the truncated evaluator at the same cutoff.
 
 Compositions appearing in the closed forms are ordered sequences of positive
-multiples of p with prescribed total weight and, where stated, a prescribed
-number of entries that are even multiples of p. Empty composition sets
-silently contribute nothing, which removes the degenerate summation cells
-without special-casing.
+multiples of p with prescribed total weight; in the power-product form the
+number of entries that are even multiples of p names a word's cell. Empty
+composition sets silently contribute nothing, which removes the degenerate
+summation cells without special-casing.
 """
 
 from __future__ import annotations
@@ -73,22 +73,19 @@ def numeric_comparison(
     return VerifyReport(statement, dict(params), diff <= bound, witness)
 
 
-def _compositions(total: int, length: int, even_parts: int | None = None) -> Iterator[tuple[int, ...]]:
+def _compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
     """Compositions of ``total`` into ``length`` positive integers, in
-    lexicographic order; with ``even_parts`` set, exactly that many entries
-    are even. Each is read off its ``length - 1`` cut points in
+    lexicographic order. Each is read off its ``length - 1`` cut points in
     1..total-1, taken in lexicographic order, which is the order of the
     compositions they cut; nothing recurses."""
     if length == 0:
-        if total == 0 and even_parts in (None, 0):
+        if total == 0:
             yield ()
         return
     if total < length:
         return
     for cuts in combinations(range(1, total), length - 1):
-        comp = tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
-        if even_parts is None or length - sum(r & 1 for r in comp) == even_parts:
-            yield comp
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
 Bracket = list[tuple[str, TPoly]]
@@ -134,15 +131,19 @@ def power_product_rhs(m: int, n: int, p: int) -> Element:
     """
     if m < 0 or n < 0 or p < 1:
         raise BadParamsError(f"need m, n >= 0 and p >= 1, got {(m, n, p)}")
+    low = min(m, n)
     out: dict[str, TPoly] = {}
-    for k in range(min(m, n) + 1):
-        cb = math.comb(m + n - 2 * k, m - k)
-        for i in range(k + 1):
-            j = k - i
-            scale = T2_MINUS_T**i * ONE_MINUS_2T**j * cb
-            # a_w = r_w * p over the compositions r of m + n; a word's length
-            # and even count fix its cell, so no word arises twice
-            for comp in _compositions(m + n, m + n - i - k, j):
+    for s in range(2 * low + 1):  # s = i + k: the words of length m + n - s
+        # j = k - i has the parity of s, and i >= 0, k <= low bound it
+        scales = {}
+        for j in range(s % 2, min(s, 2 * low - s) + 1, 2):
+            k = (s + j) // 2
+            scales[j] = T2_MINUS_T ** (s - k) * ONE_MINUS_2T**j * math.comb(m + n - 2 * k, m - k)
+        # a_w = r_w * p over the compositions r of m + n, each built once and
+        # sent to the cell its even count names
+        for comp in _compositions(m + n, m + n - s):
+            scale = scales.get(len(comp) - sum(r & 1 for r in comp))
+            if scale is not None:
                 out[word_of_index(r * p for r in comp)] = scale
     return Element._unsafe(out)
 
@@ -202,13 +203,16 @@ def pivot_rhs(idx1: Iterable[int], idx2: Iterable[int], j: int) -> Element:
     suffix1 = word_of_index(i1[j:])
     zk = z_word(kj)
     out: dict[str, TPoly] = {}
+    previous = None  # the open product of cut i - 1
     for i in range(n + 1):
         # the left side of cut i: plain·z_k, plus merged·bracket for i >= 1
-        left = {ow + zk: oc for ow, oc in stuffle_o(prefix1, word_of_index(i2[:i])).items()}
+        opened = stuffle_o(prefix1, word_of_index(i2[:i]))
+        left = {ow + zk: oc for ow, oc in opened.items()}
         if i >= 1:
             bracket = _merged("", kj + i2[i - 1], i == n and j == m)
-            _concat_into(left, stuffle_o(prefix1, word_of_index(i2[: i - 1])).items(), bracket)
+            _concat_into(left, previous.items(), bracket)
         _concat_into(out, left.items(), stuffle_t(suffix1, word_of_index(i2[i:])).items())
+        previous = opened
     return Element._unsafe(out)
 
 

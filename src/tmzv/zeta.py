@@ -13,25 +13,25 @@ equal cutoff.
 Identities are always compared with both sides truncated at the same
 cutoff, so the slowly decaying truncation error largely cancels.
 
-Truncated sums are cached per (index, cutoff). The power arrays m^-k for
-m = 1..cutoff do not depend on the index, so they are kept read-only between
-misses, least recently used first, in a budget of ``_POWER_FLOATS`` floats
-in all; an array larger than the budget is computed for its call only. The
-image of a word under the map does not depend on t0 or the cutoff, so
-``z_t_eval`` compiles it once into float coefficients and indices, memoized
-per word (at most ``_COMPILED_MAX`` words), and a call at a new t0 only runs
-a Horner loop per term. ``clear_cache`` empties all three memos; every
-evaluator is pure. A cutoff or index part that is not an integer, a cutoff
-above ``MAX_CUTOFF`` and a boxes index deeper than ``MAX_BOXES_DEPTH`` are
-refused with :class:`BadParamsError`.
+Every memo is a ``functools.lru_cache`` with a finite bound. Truncated sums
+are cached per (index, cutoff), at most ``_TRUNCATED_MAX`` of them. The power
+arrays m^-k for m = 1..cutoff do not depend on the index, so the last
+``_POWERS_KEPT`` of them are kept read-only between misses, each of at most
+``_POWER_KEPT_CUTOFF`` floats (up to 200,000 floats in all); a larger array
+is computed for its call only. The image of a word under the map does not
+depend on t0 or the cutoff, so ``z_t_eval`` compiles it once into float
+coefficients and indices, memoized per word (at most ``_COMPILED_MAX``
+words), and a call at a new t0 only runs a Horner loop per term.
+``clear_cache`` empties all three memos; every evaluator is pure. A cutoff
+or index part that is not an integer, a cutoff above ``MAX_CUTOFF`` and a
+boxes index deeper than ``MAX_BOXES_DEPTH`` are refused with
+:class:`BadParamsError`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from threading import Lock
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import BadParamsError, DivergentError, NotInH0Error
@@ -76,39 +76,35 @@ def _require_admissible(idx: Iterable[int]) -> tuple[int, ...]:
     return _check_index(parts)
 
 
-# Kept m^-k arrays, least recently used first. They do not depend on the
-# index, so every miss at one cutoff shares them; the budget counts floats in
-# all (two arrays at cutoff 1e5) and an array larger than it is not kept.
-_POWER_FLOATS = 200_000
-_powers_kept: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-_powers_floats = 0
-_powers_lock = Lock()
+# The last ``_POWERS_KEPT`` m^-k arrays asked for at a cutoff up to
+# ``_POWER_KEPT_CUTOFF``, 200,000 floats in all. They do not depend on the
+# index, so every miss at one cutoff shares them.
+_POWERS_KEPT = 2
+_POWER_KEPT_CUTOFF = 100_000
 
 
-def _powers(k: int, cutoff: int) -> np.ndarray:
+def _power_array(k: int, cutoff: int) -> np.ndarray:
     """m^-k for m = 1..cutoff as a read-only float64 array."""
-    global _powers_floats
-    key = (k, cutoff)
-    with _powers_lock:
-        kept = _powers_kept.get(key)
-        if kept is not None:
-            _powers_kept.move_to_end(key)
-            return kept
     import numpy as np  # loaded on first evaluation, so the exact paths start without it
 
     powers = np.arange(1, cutoff + 1, dtype=np.float64) ** float(-k)
     powers.flags.writeable = False
-    if cutoff <= _POWER_FLOATS:
-        with _powers_lock:
-            if key not in _powers_kept:
-                while _powers_floats + cutoff > _POWER_FLOATS:
-                    _powers_floats -= _powers_kept.popitem(last=False)[1].size
-                _powers_kept[key] = powers
-                _powers_floats += cutoff
     return powers
 
 
-@lru_cache(maxsize=None)
+_kept_power_array = lru_cache(maxsize=_POWERS_KEPT)(_power_array)
+
+
+def _powers(k: int, cutoff: int) -> np.ndarray:
+    return (_kept_power_array if cutoff <= _POWER_KEPT_CUTOFF else _power_array)(k, cutoff)
+
+
+# Truncated sums kept; one seed-1 numeric-eval round asks for 762 and
+# ``verify all --max 3`` for 287, so neither evicts.
+_TRUNCATED_MAX = 4096
+
+
+@lru_cache(maxsize=_TRUNCATED_MAX)
 def _truncated(parts: tuple[int, ...], cutoff: int, strict: bool) -> float:
     cur = _powers(parts[-1], cutoff)
     if len(parts) > 1:
@@ -130,12 +126,9 @@ def _truncated(parts: tuple[int, ...], cutoff: int, strict: bool) -> float:
 
 
 def clear_cache() -> None:
-    global _powers_floats
     _truncated.cache_clear()
     _compiled_word.cache_clear()
-    with _powers_lock:
-        _powers_kept.clear()
-        _powers_floats = 0
+    _kept_power_array.cache_clear()
 
 
 def mzv(idx: Iterable[int], cfg: EvalConfig) -> float:

@@ -1,12 +1,13 @@
 """Unit tests for the identity builders and their checkers."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from tmzv import identities
 from tmzv.errors import BadParamsError
-from tmzv.exact import ONE_MINUS_2T, TPoly
+from tmzv.exact import ONE_MINUS_2T, T2_MINUS_T, TPoly
 from tmzv.identities import (
     VerifyReport,
     alternating_numeric_check,
@@ -50,7 +51,39 @@ class TestReport:
         }
 
 
+def per_cell_power_product(m, n, p):
+    """power_product_rhs built cell by cell: each (k, i) cell enumerates the
+    compositions of its length and keeps those with j = k - i even parts."""
+
+    def compositions(total, length):
+        if length == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(1, total - length + 2):
+            for rest in compositions(total - first, length - 1):
+                yield (first, *rest)
+
+    out = {}
+    for k in range(min(m, n) + 1):
+        cb = math.comb(m + n - 2 * k, m - k)
+        for i in range(k + 1):
+            j = k - i
+            for comp in compositions(m + n, m + n - i - k):
+                if sum(r % 2 == 0 for r in comp) == j:
+                    out[word_of_index(r * p for r in comp)] = T2_MINUS_T**i * ONE_MINUS_2T**j * cb
+    return Element(out)
+
+
 class TestPowerProduct:
+    def test_matches_the_per_cell_enumeration(self):
+        for total in range(13):
+            for m in range(total + 1):
+                for p in (1, 2):
+                    assert power_product_rhs(m, total - m, p) == per_cell_power_product(m, total - m, p), (
+                        m, total - m, p,
+                    )
+
     def test_depth_one(self):
         want = Element([("yy", TPoly((2,))), ("xy", ONE_MINUS_2T)])
         assert power_product_rhs(1, 1, 1) == want

@@ -4,10 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmzv.exact import POLY_T, TPoly
 from tmzv.interpolation import s_t, sigma_t
-from tmzv.words import Element
+from tmzv.products import stuffle_classical, stuffle_t
+from tmzv.words import Element, index_of_word, word_of_index
 
 
 def all_words(max_len):
@@ -103,3 +106,28 @@ class TestLastLetterFixedMap:
             for s, u in product(points, repeat=2):
                 twice = s_t(s_t(word, TPoly.const(u)), TPoly.const(s))
                 assert twice == s_t(word, TPoly.const(s + u)), (word, s, u)
+
+
+def classical_bilinear(a, b):
+    """The classical stuffle extended Q[t]-bilinearly over term pairs."""
+    out = Element.zero()
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            out = out + stuffle_classical(index_of_word(w1), index_of_word(w2)).scale(c1 * c2)
+    return out
+
+
+_INDICES = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+
+
+class TestConjugationLaw:
+    """a *_t b = s_{-t}(s_t(a) * s_t(b)) for y-ended words: the deformed
+    product from the map and the classical stuffle alone, without the
+    engine's combinatorics."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_INDICES, _INDICES)
+    def test_deformed_product_is_the_conjugated_classical_stuffle(self, idx1, idx2):
+        a, b = word_of_index(idx1), word_of_index(idx2)
+        conjugated = s_t(classical_bilinear(s_t(a), s_t(b)), TPoly((0, -1)))
+        assert stuffle_t(a, b) == conjugated, (idx1, idx2)

@@ -259,77 +259,96 @@ def truncated_reference(parts, cutoff, strict):
     return float(cur.sum())
 
 
-def kept_floats():
-    return sum(powers.size for powers in zeta._powers_kept.values())
+def kept_info():
+    return zeta._kept_power_array.cache_info()
 
 
 class TestKeptPowers:
-    """The m^-k arrays are kept between misses in a budget of floats; the
-    values stay bit for bit those of fresh arrays."""
+    """The last m^-k arrays at a cutoff up to ``_POWER_KEPT_CUTOFF`` are kept
+    between misses, least recently used first; the values stay bit for bit
+    those of fresh arrays."""
 
     INDICES = list(admissible_indices(9, 4))
 
-    @pytest.mark.parametrize("cutoff", [1, 2, 17, 10_000, 100_000, zeta._POWER_FLOATS + 1])
+    @pytest.mark.parametrize(
+        "cutoff", [1, 2, 17, 10_000, zeta._POWER_KEPT_CUTOFF, zeta._POWER_KEPT_CUTOFF + 1, 200_001]
+    )
     def test_cold_warm_and_evicted_equal_the_reference(self, cutoff):
         for parts in self.INDICES:
             for strict in (True, False):
                 want = truncated_reference(parts, cutoff, strict)
                 clear_cache()
                 assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)  # cold
-                if cutoff > zeta._POWER_FLOATS:
-                    assert not zeta._powers_kept  # nothing is kept, so every call is cold
+                if cutoff > zeta._POWER_KEPT_CUTOFF:
+                    assert kept_info().currsize == 0  # nothing is kept, so every call is cold
                     continue
                 zeta._truncated.cache_clear()
                 assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)  # warm
                 zeta._truncated.cache_clear()
-                zeta._powers(1, zeta._POWER_FLOATS)  # evicts every other kept array
-                assert list(zeta._powers_kept) == [(1, zeta._POWER_FLOATS)]
+                zeta._powers(1, 3)
+                zeta._powers(2, 3)  # evicts every array the sum used
                 assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)  # evicted
-                assert zeta._powers_floats == kept_floats() <= zeta._POWER_FLOATS
+                assert kept_info().currsize <= zeta._POWERS_KEPT
         clear_cache()
 
     def test_kept_floats_stay_within_the_budget(self):
+        assert zeta._POWERS_KEPT * zeta._POWER_KEPT_CUTOFF == 200_000
+        assert kept_info().maxsize == zeta._POWERS_KEPT
         clear_cache()
-        for cutoff in (17, 100_000, 10_000, 60_000, 100_000, 1, zeta._POWER_FLOATS):
+        for cutoff in (17, 100_000, 10_000, 60_000, 100_000, 1):
             for k in (2, 1, 3, 2):
-                zeta._powers(k, cutoff)
-                assert zeta._powers_floats == kept_floats() <= zeta._POWER_FLOATS
-                assert (k, cutoff) in zeta._powers_kept
-        zeta._powers(2, zeta._POWER_FLOATS + 1)
-        assert (2, zeta._POWER_FLOATS + 1) not in zeta._powers_kept
-        assert list(zeta._powers_kept) == [(2, zeta._POWER_FLOATS)]
+                kept = zeta._powers(k, cutoff)
+                assert zeta._powers(k, cutoff) is kept
+                assert kept_info().currsize <= zeta._POWERS_KEPT
+        before = kept_info()
+        larger = zeta._powers(2, zeta._POWER_KEPT_CUTOFF + 1)
+        assert larger.size == zeta._POWER_KEPT_CUTOFF + 1
+        assert kept_info() == before  # computed for its call only
         clear_cache()
 
     def test_least_recently_used_is_evicted_first(self):
+        # requests at numeric-eval's cutoff, 1e5, against a model of two
+        # kept arrays, least recently used first
         clear_cache()
-        half = zeta._POWER_FLOATS // 2
-        first = zeta._powers(2, half)
-        zeta._powers(3, half)
-        assert zeta._powers(2, half) is first  # a hit, now the most recent
-        zeta._powers(4, half)
-        assert list(zeta._powers_kept) == [(2, half), (4, half)]
+        cutoff = zeta._POWER_KEPT_CUTOFF
+        model = []
+        for k in (2, 3, 2, 4, 2, 3, 3, 1, 4, 1, 2, 2, 5, 1, 5, 3):
+            misses = kept_info().misses
+            hit = k in model
+            if hit:
+                model.remove(k)
+            elif len(model) == zeta._POWERS_KEPT:
+                model.pop(0)
+            model.append(k)
+            zeta._powers(k, cutoff)
+            assert kept_info().misses == misses + (not hit), k
+        assert kept_info().currsize == len(model)
         clear_cache()
 
     def test_kept_arrays_reject_writes(self):
         clear_cache()
         mzv((2, 1), EvalConfig(100))
-        assert zeta._powers_kept
-        for powers in zeta._powers_kept.values():
+        assert kept_info().currsize == 2
+        misses = kept_info().misses
+        for k in (2, 1):
             with pytest.raises(ValueError):
-                powers[0] = 1.0
+                zeta._powers(k, 100)[0] = 1.0
+        assert kept_info().misses == misses  # both were the kept arrays
         with pytest.raises(ValueError):
-            zeta._powers(2, zeta._POWER_FLOATS + 1)[0] = 1.0
+            zeta._powers(2, zeta._POWER_KEPT_CUTOFF + 1)[0] = 1.0
         clear_cache()
 
     def test_clear_cache_empties_the_kept_powers(self):
+        memos = (zeta._truncated, zeta._compiled_word, zeta._kept_power_array)
         mzv_star((3, 1, 2), EvalConfig(1_000))
-        assert zeta._powers_floats > 0 and zeta._powers_kept
+        z_t_eval("xyy", EvalConfig(100))
+        assert all(memo.cache_info().currsize for memo in memos)
         clear_cache()
-        assert zeta._powers_floats == 0 and not zeta._powers_kept
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
 
     def test_threads_keep_the_budget(self):
         clear_cache()
-        cutoffs = (1, 17, 5_000, 60_000, 100_000)
+        cutoffs = (1, 17, 5_000, 60_000, 100_000, 100_001)
         errors = []
 
         def hammer(offset):
@@ -353,5 +372,25 @@ class TestKeptPowers:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert zeta._powers_floats == kept_floats() <= zeta._POWER_FLOATS
+        assert kept_info().currsize <= zeta._POWERS_KEPT
+        clear_cache()
+
+
+class TestBoundedMemos:
+    def test_every_memo_has_a_finite_bound(self):
+        assert zeta._truncated.cache_info().maxsize == zeta._TRUNCATED_MAX
+        for memo in (zeta._truncated, zeta._compiled_word, zeta._kept_power_array):
+            assert isinstance(memo.cache_info().maxsize, int), memo
+
+    def test_an_admissible_sweep_never_evicts(self):
+        clear_cache()
+        cfg = EvalConfig(100, 0.5)
+        for _ in range(2):
+            for parts in admissible_indices(10, 4):
+                mzv(parts, cfg)
+                mzv_star(parts, cfg)
+                zeta_t_boxes(parts, cfg)
+                z_t_eval(word_of_index(parts), cfg)
+        info = zeta._truncated.cache_info()
+        assert 0 < info.currsize == info.misses < zeta._TRUNCATED_MAX
         clear_cache()
