@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success / all checks pass, 1 when a verification fails, 2 on
 usage errors (malformed indices or words, non-admissible index for an
-evaluator, unknown flags). Every usage error, argparse's own included, prints
-one ``error:`` line on stderr.
+evaluator, unknown flags, numbers past ``MAX_DIGITS``). Every usage error,
+argparse's own included, prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -37,13 +37,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The most digits an integer or a t value may spell: Python's default limit
+# on the digits of an int read from or written to a string.
+MAX_DIGITS = 4300
+
+
 def _ascii_int(text: str, signed: bool = False) -> int | None:
     """The integer ``text`` spells in ASCII digits, after an optional sign when
     ``signed``; None for anything else, such as the other scripts' digits and
-    the underscores that ``int`` also reads."""
+    the underscores that ``int`` also reads. More than ``MAX_DIGITS`` digits
+    are a usage error."""
     s = text.strip()
     digits = s[1:] if signed and s[:1] in ("+", "-") else s
-    return int(s) if digits.isascii() and digits.isdigit() else None
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if len(digits) > MAX_DIGITS:
+        raise UsageError(f"an integer of {len(digits):,} digits is past MAX_DIGITS = {MAX_DIGITS:,}")
+    return int(s)
 
 
 def _int_flag(text: str) -> int:
@@ -69,6 +79,10 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 def _parse_t(text: str) -> Fraction:
     s = text.strip()
+    # 10^exponent is built in full, so a long exponent is refused before it
+    mantissa, _, exponent = s.lower().partition("e")
+    if sum(map(str.isdigit, mantissa)) + abs(_ascii_int(exponent, signed=True) or 0) > MAX_DIGITS:
+        raise UsageError(f"t value has more than MAX_DIGITS = {MAX_DIGITS:,} digits")
     try:
         if "/" in s:
             num, den = (_ascii_int(part, signed=True) for part in s.split("/", 1))
@@ -107,10 +121,14 @@ def _parse_params(text: str) -> dict[str, int]:
 
 
 def _print_element(elem: Element, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(elem.to_json_obj(), sort_keys=True))
-    else:
-        print(elem.to_text())
+    try:
+        text = json.dumps(elem.to_json_obj(), sort_keys=True) if as_json else elem.to_text()
+    except ValueError:  # an int past the interpreter's limit on printed digits
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(
+            f"the exact result holds a number of more than {limit:,} digits, too long to print"
+        ) from None
+    print(text)
 
 
 def _print_value(command: str, value: float, meta: dict, as_json: bool) -> None:

@@ -16,14 +16,21 @@ Both types have ``numerator``/``denominator`` and compare and hash alike
 across the two forms (``2 == Fraction(2)``), so serialization and equality
 do not depend on the form a caller passed in.
 
-All values are immutable and all operations are pure, so they can be shared
-freely between threads.
+All values are immutable, so they can be shared freely between threads.
+Every coefficient the t-stuffle product builds is a sum of products of
+(1 - 2t) and (t^2 - t), so the kernel meets few distinct ones: what it
+computes once per coefficient lives in the process-wide :class:`Memo`
+tables at the end of this module, keyed by ``TPoly.coeffs``, which normal
+form makes equal exactly when the polynomials are. A table holds at most
+``MEMO_LIMIT`` entries; the rows of ``TIMES`` and ``AT`` are tables too, so
+each of those two holds at most ``MEMO_LIMIT * (MEMO_LIMIT + 1)``. A race
+between threads can only form a value twice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 
 def format_rational(q: Fraction) -> str:
@@ -220,3 +227,37 @@ POLY_T = TPoly((0, 1))
 ONE_MINUS_2T = TPoly((1, -2))
 T2_MINUS_T = TPoly((0, -1, 1))
 
+
+# Entries a table holds before it empties itself. The largest that
+# ``verify all --max 3`` or a benchmark round fills holds 1,597.
+MEMO_LIMIT = 2048
+
+
+class Memo(dict):
+    """``memo[key]`` is ``make(key)``, formed on first use; a memo holding
+    ``MEMO_LIMIT`` entries empties itself before it stores another."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Hashable):
+        if len(self) >= MEMO_LIMIT:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
+TIMES = Memo(lambda a: Memo(lambda b: TPoly._normal(a) * TPoly._normal(b)))  # TIMES[a][b] is a * b
+PLUS = Memo(lambda ab: TPoly._normal(ab[0]) + TPoly._normal(ab[1]))  # PLUS[a, b] is a + b
+AT = Memo(lambda t0: Memo(lambda c: CONST[TPoly._normal(c).eval(t0)]))  # AT[t0][c] is c at t0
+CONST = Memo(lambda value: TPoly._normal((value,)) if value else POLY_ZERO)  # one object per value
+JSON = Memo(lambda c: TPoly._normal(c).to_json())  # callers copy the list
+FLOATS = Memo(lambda c: tuple(float(x) for x in reversed(c)))  # highest power first
+
+
+def clear_memos() -> None:
+    for table in (TIMES, PLUS, AT, CONST, JSON, FLOATS):
+        table.clear()

@@ -15,16 +15,15 @@ interpolated multiple zeta values (see :mod:`tmzv.zeta`).
 
 from __future__ import annotations
 
-from .exact import POLY_ONE, POLY_T, TPoly
+from .exact import POLY_ONE, POLY_T, TIMES, TPoly
 from .words import Element, _concat_into, validate_word
 
 
 def _sigma_word(word: str, c: TPoly) -> dict[str, TPoly]:
     # Each y independently stays y or becomes x with factor c, so every
     # expanded word is reached along exactly one path: no accumulation needed.
-    # The paths carry the few powers of c, so each q * c is formed once.
     pairs: dict[str, TPoly] = {"": POLY_ONE}
-    times_c: dict[tuple, TPoly] = {}  # q.coeffs -> q * c
+    times_c = TIMES[c.coeffs]  # q.coeffs -> c * q
     for ch in word:
         nxt: dict[str, TPoly] = {}
         if ch == "x":
@@ -33,9 +32,7 @@ def _sigma_word(word: str, c: TPoly) -> dict[str, TPoly]:
         else:
             for w, q in pairs.items():
                 nxt[w + "y"] = q
-                scaled = times_c.get(q.coeffs)
-                if scaled is None:
-                    scaled = times_c[q.coeffs] = q * c
+                scaled = times_c[q.coeffs]
                 if not scaled.is_zero:
                     nxt[w + "x"] = scaled
         pairs = nxt

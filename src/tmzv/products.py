@@ -14,7 +14,7 @@ classical quasi-shuffle (stuffle) of multiple zeta values.
 ``stuffle_combinatorial`` builds the same product as a sum over merge
 patterns, and ``stuffle_classical`` is that sum restricted to single-part
 merges with coefficient 1. These two oracles are independent of the
-recursion: they fill their own table of suffix pairs and keep nothing
+recursion: they fill their own table of suffix pairs and keep none of it
 between calls.
 
 The engine, ``_stuffle_t_words``, runs the recursion without recursing.
@@ -29,10 +29,9 @@ start with x-runs of length k - 1, l - 1, k + l - 1 and at least k + l, so
 only the first two blocks can share a word, and only when k = l: every other
 block goes into the state as it is, with no lookup and no addition. No sum
 of shared words cancels: every coefficient is a sum of products of 1,
-(1 - 2t) and (t^2 - t), so it is positive at t = -1. A product holds few
-distinct coefficients, so the scalings by (1 - 2t) and (t^2 - t), and the
-sums of shared words, are formed once per distinct coefficient (or pair) for
-the whole call, in memos local to it.
+(1 - 2t) and (t^2 - t), so it is positive at t = -1. The scalings by
+(1 - 2t) and (t^2 - t), and the sums of shared words, are read from the
+coefficient tables of :mod:`tmzv.exact`.
 
 Every state is memoized, one table per product, keyed by the unordered pair
 of suffixes. A memoized state was built with its whole sub-table, so the
@@ -45,10 +44,10 @@ are immutable, so no caller can change a shared entry.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Hashable, Iterable
+from typing import Iterable
 
 from .errors import NotInH1Error
-from .exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
+from .exact import ONE_MINUS_2T, PLUS, POLY_ONE, T2_MINUS_T, TIMES, TPoly, clear_memos
 from .words import Element, _check_index, _concat_into, validate_word, z_word
 
 _CACHE_T: dict[tuple[str, str], Element] = {}
@@ -58,6 +57,7 @@ _CACHE_O: dict[tuple[str, str], Element] = {}
 def clear_caches() -> None:
     _CACHE_T.clear()
     _CACHE_O.clear()
+    clear_memos()
 
 
 def _require_h1(word: str) -> str:
@@ -65,21 +65,6 @@ def _require_h1(word: str) -> str:
     if word and not word.endswith("y"):
         raise NotInH1Error(f"word {word!r} ends in x; products need z-decomposable input")
     return word
-
-
-class _Memo(dict):
-    """A memo local to one product: ``memo[key]`` is ``make(key)``, formed
-    on first use."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: Hashable) -> TPoly:
-        value = self[key] = self.make(key)
-        return value
 
 
 def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
@@ -102,10 +87,7 @@ def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
     s1 = [w1[p:] for p in accumulate(map(len, z1), initial=0)]
     s2 = [w2[p:] for p in accumulate(map(len, z2), initial=0)]
     n, m = len(z1), len(z2)
-    # (1 - 2t) c, (t^2 - t) c and a + b, keyed by coefficient tuples
-    merged = _Memo(lambda c: ONE_MINUS_2T * TPoly._normal(c))
-    x_run = _Memo(lambda c: T2_MINUS_T * TPoly._normal(c))
-    sums = _Memo(lambda pair: TPoly._normal(pair[0]) + TPoly._normal(pair[1]))
+    merged, x_run = TIMES[ONE_MINUS_2T.coeffs], TIMES[T2_MINUS_T.coeffs]
     below = [{v: POLY_ONE} for v in s2]  # row n: the state (n, j) is the word s2[j]
     for i in range(n - 1, -1, -1):
         zk, u = z1[i], s1[i]
@@ -124,7 +106,7 @@ def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
                 terms.update({zl + w: coeff for w, coeff in b.items()})
             else:  # the one case where two blocks share words
                 ab = a | b
-                ab.update({w: sums[a[w].coeffs, b[w].coeffs] for w in a.keys() & b.keys()})
+                ab.update({w: PLUS[a[w].coeffs, b[w].coeffs] for w in a.keys() & b.keys()})
                 terms = {zk + w: coeff for w, coeff in ab.items()}
             xs = "x" * (len(zk) + len(zl))
             zkl = xs[1:] + "y"
@@ -170,7 +152,7 @@ def _merge_patterns(p1: tuple[int, ...], p2: tuple[int, ...], runs: dict[tuple[i
     ``p1`` merged with b of ``p2`` (coefficient ``runs[a, b]``). State (i, j)
     holds the patterns of the suffixes from parts i and j; states grow from
     the ends in reverse row-major order, so each is complete when grown, and
-    are dropped once grown, so nothing outlives the call and nothing recurses.
+    are dropped once grown, so no state outlives the call and nothing recurses.
     A letter goes in front, so the kernel skips the unit multiplications."""
     n, m = len(p1), len(p2)
     # prefix sums: the parts i-a..i-1 of p1 total s1[i] - s1[i - a]

@@ -16,13 +16,8 @@ outside this module only the product engine touches their terms, to read
 them. That is what lets the products return their memoized Elements shared
 instead of copied.
 
-A product or evaluation holds few distinct coefficients, since each is a sum
-of products of (1 - 2t) and (t^2 - t) over merge patterns, so the per-term
-loops compute once per distinct coefficient with a memo local to the call.
-The memos key on the coefficient tuple ``TPoly.coeffs``, never on ``id()``:
-normal form (ints where integral, no trailing zero) makes that tuple equal
-exactly when the polynomials are equal, and the values it maps to are
-immutable, so terms may share them.
+The per-term loops read each coefficient's products, constants at a point
+and JSON strings from the coefficient tables of :mod:`tmzv.exact`.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, ItemsView, Mapping
 
 from .errors import BadParamsError, NotInH1Error
-from .exact import _UNIT, POLY_ONE, POLY_ZERO, TPoly
+from .exact import _UNIT, AT, JSON, POLY_ONE, TIMES, TPoly
 
 Word = str
 
@@ -117,27 +112,19 @@ def _concat_into(out: dict[str, TPoly], left: Iterable[Term], right: Collection[
     """The concatenation kernel: ``out += left · right``, adding ``c1 * c2``
     under ``w1 + w2`` for every pair of terms and skipping the multiplication
     when a left coefficient is 1. ``right`` is walked once per left term, and
-    each distinct pair of coefficients is multiplied once. It is the one
+    each product of coefficients is read from ``TIMES``. It is the one
     accumulate path outside :class:`Element`: it serves the builders, the
     oracles, the interpolation maps and the bilinear extension (the product
     engine builds its states from disjoint blocks instead), and adds inline
     rather than through :func:`_iadd`; both sides hold nonzero
     coefficients, so only an add can cancel a word."""
     get = out.get
-    # c1.coeffs -> c2.coeffs -> c1 * c2
-    products: dict[tuple, dict[tuple, TPoly]] = {}
     for w1, c1 in left:
         unit = c1.coeffs == _UNIT
-        if not unit:
-            row = products.setdefault(c1.coeffs, {})
+        row = TIMES[c1.coeffs]
         for w2, c2 in right:
             word = w1 + w2
-            if unit:
-                coeff = c2
-            else:
-                coeff = row.get(c2.coeffs)
-                if coeff is None:
-                    coeff = row[c2.coeffs] = c1 * c2
+            coeff = c2 if unit else row[c2.coeffs]
             cur = get(word)
             if cur is None:
                 out[word] = coeff
@@ -248,15 +235,9 @@ class Element:
         """Specialize every coefficient at a rational point t0 (constants remain
         as degree-0 polynomials; vanishing terms are pruned)."""
         out: dict[str, TPoly] = {}
-        consts: dict[tuple, TPoly] = {}  # coefficient -> its value as a constant
-        shared: dict[Fraction | int, TPoly] = {}  # value -> the one constant holding it
+        consts = AT[t0]
         for word, coeff in self._terms.items():
-            const = consts.get(coeff.coeffs)
-            if const is None:
-                value = coeff.eval(t0)
-                const = consts[coeff.coeffs] = (
-                    shared.setdefault(value, TPoly._normal((value,))) if value else POLY_ZERO
-                )
+            const = consts[coeff.coeffs]
             if const:
                 out[word] = const
         return Element._unsafe(out)
@@ -269,14 +250,10 @@ class Element:
         return " + ".join(f"({coeff}) {display_word(word)}" for word, coeff in self.sorted_items())
 
     def to_json_obj(self) -> dict:
-        # each term gets its own list, so that no two terms alias
-        strings: dict[tuple, list[str]] = {}
         terms = []
         for word, coeff in self.sorted_items():
-            text = strings.get(coeff.coeffs)
-            if text is None:
-                text = strings[coeff.coeffs] = coeff.to_json()
-            terms.append({"word": word, "coeff": text[:]})
+            # each term gets its own list, so that no two terms alias
+            terms.append({"word": word, "coeff": JSON[coeff.coeffs][:]})
         return {"terms": terms}
 
     @classmethod

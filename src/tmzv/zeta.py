@@ -20,9 +20,10 @@ arrays m^-k for m = 1..cutoff do not depend on the index, so the last
 ``_POWER_KEPT_CUTOFF`` floats (up to 200,000 floats in all); a larger array
 is computed for its call only. The image of a word under the map does not
 depend on t0 or the cutoff, so ``z_t_eval`` compiles it once into float
-coefficients and indices, memoized per word (at most ``_COMPILED_MAX``
-words), and a call at a new t0 only runs a Horner loop per term.
-``clear_cache`` empties all three memos; every evaluator is pure. A cutoff
+coefficients (read from the ``FLOATS`` table of :mod:`tmzv.exact`) and
+indices, memoized per word (at most ``_COMPILED_MAX`` words), and a call at
+a new t0 only runs a Horner loop per term. ``clear_cache`` empties all three
+memos and the coefficient tables; every evaluator is pure. A cutoff
 or index part that is not an integer, a cutoff above ``MAX_CUTOFF`` and a
 boxes index deeper than ``MAX_BOXES_DEPTH`` are refused with
 :class:`BadParamsError`.
@@ -35,6 +36,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import BadParamsError, DivergentError, NotInH0Error
+from .exact import FLOATS, clear_memos
 from .interpolation import s_t
 from .words import Element, _check_index, index_of_word, is_admissible
 
@@ -129,6 +131,7 @@ def clear_cache() -> None:
     _truncated.cache_clear()
     _compiled_word.cache_clear()
     _kept_power_array.cache_clear()
+    clear_memos()
 
 
 def mzv(idx: Iterable[int], cfg: EvalConfig) -> float:
@@ -178,12 +181,9 @@ _COMPILED_MAX = 1024
 
 
 def _compile(mapped: Element) -> _Compiled:
-    floats: dict[tuple, tuple[float, ...]] = {}  # coeffs -> floats, shared per distinct coefficient
     terms = []
     for word, coeff in mapped.sorted_items():
-        fs = floats.get(coeff.coeffs)
-        if fs is None:
-            fs = floats[coeff.coeffs] = tuple(float(c) for c in reversed(coeff.coeffs))
+        fs = FLOATS[coeff.coeffs]
         if word and (not word.startswith("x") or not word.endswith("y")):
             raise NotInH0Error(f"word {word!r} is not admissible")
         terms.append((fs, index_of_word(word) if word else None))

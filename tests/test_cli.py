@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,7 @@ class TestScalarIdentityCommands:
 
 RECURSIVE = "m=2,u=2,p=1,n=1,v=0"
 HEADS = "m=2,u=2,p=1,n=1,v=1"
+LONG = "1" * 5000  # past Python's 4,300-digit limit on reading an int
 
 
 class TestUsageErrors:
@@ -254,6 +256,18 @@ class TestUsageErrors:
             ),
             (["zeta-t", "--index", "2" + ",1" * 16, "--t", "0.5", "--cutoff", "10"], "MAX_BOXES_DEPTH = 16"),
             (["verify", "power-product", "--params", "m=1,n=1,p=1,m=2"], "--params names 'm' more than once"),
+            (["product", "--left", LONG, "--right", "2"], "past MAX_DIGITS = 4,300"),
+            (["zeta", "--index", "2," + LONG, "--cutoff", "10"], "past MAX_DIGITS = 4,300"),
+            (["verify", "power-product", "--params", f"m={LONG},n=0,p=1"], "past MAX_DIGITS = 4,300"),
+            (["product", "--left", "2", "--right", "3", "--t", "1e5000"], "MAX_DIGITS = 4,300"),
+            (["product", "--left", "2", "--right", "3", "--t", "1e5000", "--json"], "MAX_DIGITS = 4,300"),
+            (["product", "--left", "2,2,2,2", "--right", "2,2,2,2", "--t", "1e900"], "too long to print"),
+            (
+                ["product", "--left", "2,2,2,2", "--right", "2,2,2,2", "--t", "1e900", "--json"],
+                "too long to print",
+            ),
+            (["zeta-t", "--index", "2", "--cutoff", "10", "--t", "1e10000000"], "MAX_DIGITS = 4,300"),
+            (["zeta-t", "--index", "2", "--cutoff", "10", "--t", "1e100000000"], "MAX_DIGITS = 4,300"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):
@@ -263,6 +277,13 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert needle in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("t", ["1e10000000", "1e100000000"])
+    def test_long_t_exponent_is_refused_before_it_is_built(self, capsys, t):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "zeta-t", "--index", "2", "--cutoff", "10", "--t", t)
+        assert code == 2 and "MAX_DIGITS" in err
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "argv",
@@ -295,9 +316,9 @@ _FLAGS = [
 ]
 _VALUES = [
     "", "0", "1", "-1", "2,1", "2,1,1", "1,2", "3,1", "1,0", "x", "xyy", "xz", "t", "o", "st",
-    "classical", "boxes", "1/2", "1/0", "1e300", "1e400", "nan", "=", "m=2", "q=9",
+    "classical", "boxes", "1/2", "1/0", "1e300", "1e400", "nan", "=", "m=2", "q=9", LONG,
 ]
-_INDICES = ["", "1", "2", "2,1", "1,2,1", "0", "1,0", "x", "²", "2,¹"]
+_INDICES = ["", "1", "2", "2,1", "1,2,1", "0", "1,0", "x", "²", "2,¹", LONG]
 _T_VALUES = ["0", "1", "1/2", "-1", "1/0", "1e300", "1e400", "x", "-3/4", "-1/2"]
 _PAIRS = st.lists(st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)), max_size=2).map(
     lambda pairs: [token for pair in pairs for token in pair]

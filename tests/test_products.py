@@ -2,6 +2,7 @@
 
 import json
 import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
@@ -10,8 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmzv import zeta
 from tmzv.errors import BadParamsError, NotInH1Error
-from tmzv.exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
+from tmzv.exact import (
+    AT,
+    CONST,
+    FLOATS,
+    JSON,
+    MEMO_LIMIT,
+    ONE_MINUS_2T,
+    PLUS,
+    POLY_ONE,
+    POLY_T,
+    T2_MINUS_T,
+    TIMES,
+    TPoly,
+    clear_memos,
+)
 from tmzv.identities import power_product_rhs
 from tmzv.products import (
     _CACHE_O,
@@ -229,6 +245,108 @@ class TestEngineTable:
                 assert got == power_product_rhs(a, b, p), (a, b)
         z_p4 = dict(stuffle_t(word_of_index((p, p)), word_of_index((p, p))).items())
         assert z_p4[word_of_index((p,) * 4)] == TPoly((6,))
+
+
+TABLES = {"TIMES": TIMES, "PLUS": PLUS, "AT": AT, "CONST": CONST, "JSON": JSON, "FLOATS": FLOATS}
+
+
+class TestCoefficientTables:
+    """The process-wide coefficient tables of ``tmzv.exact``: bounded, emptied
+    with the caches, and equal in value to the operations they stand for."""
+
+    def test_overfilled_tables_stay_bounded_and_correct(self):
+        clear_memos()
+        keys = [(k, 1) for k in range(MEMO_LIMIT + 5)]  # the polynomials k + t
+        row = TIMES[POLY_T.coeffs]  # kept past the moment TIMES empties itself
+        for k, key in enumerate(keys):
+            TIMES[key][(2,)]
+            row[key]
+            PLUS[key, (1,)]
+            AT[Fraction(k, 3)][key]  # a row per point, a CONST entry per value
+            AT[2][key]
+            JSON[key]
+            FLOATS[key]
+        rows = [row, *TIMES.values(), *AT.values()]
+        assert all(0 < len(table) <= MEMO_LIMIT for table in [*TABLES.values(), *rows])
+        for k, key in [*enumerate(keys)][:: MEMO_LIMIT // 4]:
+            poly = TPoly(key)
+            assert row[key] == TIMES[key][POLY_T.coeffs] == POLY_T * poly
+            assert PLUS[key, (1,)] == poly + POLY_ONE
+            assert AT[2][key] == TPoly.const(k + 2)
+            assert AT[Fraction(1, 2)][key] is CONST[Fraction(2 * k + 1, 2)]
+            assert JSON[key] == [f"{k}/1", "1/1"]
+            assert FLOATS[key] == (1.0, float(k))
+        clear_memos()
+
+    @pytest.mark.parametrize("clear", [clear_caches, zeta.clear_cache])
+    def test_every_table_empties_with_the_caches(self, clear):
+        clear_caches()
+        zeta.clear_cache()
+        elem = stuffle_t("xyy", "xyy")
+        _json_bytes(elem.eval_at(Fraction(1, 2)))
+        zeta.z_t_eval("xxy", zeta.EvalConfig(10, 0.5))
+        assert all(TABLES.values())
+        clear()
+        assert not any(TABLES.values())
+
+    def test_threads_sharing_the_tables_get_equal_results(self):
+        pairs = [(a, b) for a in small_indices(2, 3, False) for b in small_indices(2, 2, False)]
+
+        def serve():
+            out = []
+            for idx1, idx2 in pairs:
+                elem = stuffle_combinatorial(idx1, idx2)
+                out.append((elem, _json_bytes(elem.eval_at(Fraction(-1, 2)))))
+            return out
+
+        clear_caches()
+        want = serve()
+        got, stop = [], threading.Event()
+
+        def clearing():
+            while not stop.is_set():
+                clear_memos()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: got.append(serve())) for _ in range(4)]
+            threads.append(threading.Thread(target=clearing))
+            for thread in threads:
+                thread.start()
+            for thread in threads[:-1]:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            threads[-1].join(timeout=60)
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 4
+
+    @pytest.mark.parametrize("op", [stuffle_t, stuffle_o])
+    @pytest.mark.parametrize("t0", [Fraction(0), Fraction(-3, 4), Fraction(2)])
+    def test_product_eval_and_json_equal_cold_and_warm(self, op, t0):
+        pairs = [((2, 1), (3,)), ((1, 2, 2), (2, 3)), ((2, 2), (2, 2))]
+        runs = []
+
+        def cold_products():
+            _CACHE_T.clear()
+            _CACHE_O.clear()
+
+        for clear in (clear_caches, cold_products, lambda: None):
+            clear()  # all cold; then warm tables under cold products; then all warm
+            for idx1, idx2 in pairs:
+                elem = op(word_of_index(idx1), word_of_index(idx2))
+                at = elem.eval_at(t0)
+                runs.append((elem, at, _json_bytes(elem), _json_bytes(at)))
+        n = len(pairs)
+        for i, run in enumerate(runs):
+            assert run == runs[i % n]
+        for (idx1, idx2), (elem, at, _, _) in zip(pairs, runs):
+            if op is stuffle_t:
+                assert elem == stuffle_combinatorial(idx1, idx2)
+            assert at == Element({w: c.eval(t0) for w, c in elem.items()})
+        clear_caches()
 
 
 class TestClassical:
