@@ -45,14 +45,17 @@ MAX_DIGITS = 4300
 def _ascii_int(text: str, signed: bool = False) -> int | None:
     """The integer ``text`` spells in ASCII digits, after an optional sign when
     ``signed``; None for anything else, such as the other scripts' digits and
-    the underscores that ``int`` also reads. More than ``MAX_DIGITS`` digits
-    are a usage error."""
+    the underscores that ``int`` also reads. More than ``MAX_DIGITS`` digits,
+    or than the interpreter's own limit when a host process lowered it, are a
+    usage error."""
     s = text.strip()
     digits = s[1:] if signed and s[:1] in ("+", "-") else s
     if not (digits.isascii() and digits.isdigit()):
         return None
-    if len(digits) > MAX_DIGITS:
-        raise UsageError(f"an integer of {len(digits):,} digits is past MAX_DIGITS = {MAX_DIGITS:,}")
+    limit = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)  # 0 means no limit
+    if len(digits) > limit:
+        name = "MAX_DIGITS" if limit == MAX_DIGITS else "sys.get_int_max_str_digits()"
+        raise UsageError(f"an integer of {len(digits):,} digits is past {name} = {limit:,}")
     return int(s)
 
 

@@ -2,35 +2,45 @@
 
 ``mzv`` computes the nested sum of prod m_i^(-k_i) over
 cutoff >= m_1 > ... > m_n >= 1 by inner-to-outer prefix sums — O(depth *
-cutoff) time instead of the naive O(cutoff^depth) nested loops, in two work
-buffers of cutoff floats besides the power arrays. ``mzv_star`` uses weak
-inequalities. ``zeta_t_boxes`` sums all 2^(n-1) comma/plus contractions of
-the index, weighting a contraction that merges down to depth d by t0^(n-d).
-``z_t_eval`` instead routes an algebra element through the last-letter-fixed
-substitution map and evaluates each resulting word; the two must agree at
-equal cutoff.
+cutoff) time instead of the naive O(cutoff^depth) nested loops. ``mzv_star``
+uses weak inequalities. ``zeta_t_boxes`` sums all 2^(n-1) comma/plus
+contractions of the index, weighting a contraction that merges down to depth
+d by t0^(n-d). ``z_t_eval`` instead routes an algebra element through the
+last-letter-fixed substitution map and evaluates each resulting word; the two
+must agree at equal cutoff.
 
 Identities are always compared with both sides truncated at the same
 cutoff, so the slowly decaying truncation error largely cancels.
 
 Every memo is a ``functools.lru_cache`` with a finite bound. Truncated sums
-are cached per (index, cutoff), at most ``_TRUNCATED_MAX`` of them. The power
-arrays m^-k for m = 1..cutoff do not depend on the index, so the last
-``_POWERS_KEPT`` of them are kept read-only between misses, each of at most
-``_POWER_KEPT_CUTOFF`` floats (up to 200,000 floats in all); a larger array
-is computed for its call only. The image of a word under the map does not
-depend on t0 or the cutoff, so ``z_t_eval`` compiles it once into float
-coefficients (read from the ``FLOATS`` table of :mod:`tmzv.exact`) and
-indices, memoized per word (at most ``_COMPILED_MAX`` words), and a call at
-a new t0 only runs a Horner loop per term. ``clear_cache`` empties all three
-memos and the coefficient tables; every evaluator is pure. A cutoff
-or index part that is not an integer, a cutoff above ``MAX_CUTOFF`` and a
-boxes index deeper than ``MAX_BOXES_DEPTH`` are refused with
+are cached per (index, cutoff), at most ``_TRUNCATED_MAX`` of them. The image
+of a word under the map does not depend on t0 or the cutoff, so ``z_t_eval``
+compiles it once into float coefficients (read from the ``FLOATS`` table of
+:mod:`tmzv.exact`) and indices, memoized per word (at most ``_COMPILED_MAX``
+words), and a call at a new t0 only runs a Horner loop per term.
+
+A miss of the truncated-sum memo allocates no array. It works in one work set
+kept for the last cutoff up to ``_POWER_KEPT_CUTOFF``: the base m = 1..cutoff,
+the read-only m^-1 and m^-2 (the exponents in ``_KEPT_EXPONENTS``, which most
+parts are), and the writable buffers ``prefix`` and ``buf``, into which any
+other m^-k is computed; so at most 5 x 100,000 floats are kept. A cutoff
+above that builds a set of three arrays (base, ``prefix``, ``buf``) for its
+call only. Each miss holds the module lock ``_work_lock`` throughout, since it
+writes the buffers. The set is a workspace, not a third memo idiom: it holds
+no result keyed by arguments, its buffers are overwritten by every miss, and
+it is bounded by holding one cutoff rather than by evicting. An
+``lru_cache`` would hand the same writable buffers to concurrent callers.
+``clear_cache`` empties both memos and the coefficient tables and drops the
+work set; every evaluator is pure.
+
+A cutoff or index part that is not an integer, a cutoff above ``MAX_CUTOFF``
+and a boxes index deeper than ``MAX_BOXES_DEPTH`` are refused with
 :class:`BadParamsError`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
@@ -78,27 +88,54 @@ def _require_admissible(idx: Iterable[int]) -> tuple[int, ...]:
     return _check_index(parts)
 
 
-# The last ``_POWERS_KEPT`` m^-k arrays asked for at a cutoff up to
-# ``_POWER_KEPT_CUTOFF``, 200,000 floats in all. They do not depend on the
-# index, so every miss at one cutoff shares them.
-_POWERS_KEPT = 2
+# The exponents whose m^-k arrays the work set keeps: 1,938 of the 2,934 parts
+# summed by the misses of a seed-1 numeric-eval round. Every other part is
+# computed into ``buf`` on its miss.
+_KEPT_EXPONENTS = (1, 2)
 _POWER_KEPT_CUTOFF = 100_000
 
 
-def _power_array(k: int, cutoff: int) -> np.ndarray:
-    """m^-k for m = 1..cutoff as a read-only float64 array."""
-    import numpy as np  # loaded on first evaluation, so the exact paths start without it
+class _WorkSet:
+    """The arrays a miss at one cutoff works in: the read-only base
+    m = 1..cutoff and, when ``keep``, m^-k for k in ``_KEPT_EXPONENTS``, and
+    the two writable buffers ``prefix`` and ``buf``."""
 
-    powers = np.arange(1, cutoff + 1, dtype=np.float64) ** float(-k)
-    powers.flags.writeable = False
-    return powers
+    __slots__ = ("cutoff", "base", "kept", "prefix", "buf")
+
+    def __init__(self, cutoff: int, keep: bool) -> None:
+        import numpy as np  # loaded on first evaluation, so the exact paths start without it
+
+        self.cutoff = cutoff
+        self.base = np.arange(1, cutoff + 1, dtype=np.float64)
+        self.base.flags.writeable = False
+        self.kept = {}
+        for k in _KEPT_EXPONENTS if keep else ():
+            self.kept[k] = powers = np.power(self.base, float(-k))
+            powers.flags.writeable = False
+        self.prefix, self.buf = np.empty(cutoff), np.empty(cutoff)
+
+    def powers(self, k: int) -> np.ndarray:
+        """m^-k: a kept array, or else computed into ``buf``."""
+        import numpy as np
+
+        kept = self.kept.get(k)
+        return kept if kept is not None else np.power(self.base, float(-k), out=self.buf)
 
 
-_kept_power_array = lru_cache(maxsize=_POWERS_KEPT)(_power_array)
+# The work set of the last cutoff up to ``_POWER_KEPT_CUTOFF``, held under
+# ``_work_lock`` by each miss, since its buffers are written on every miss.
+_work: _WorkSet | None = None
+_work_lock = threading.Lock()
 
 
-def _powers(k: int, cutoff: int) -> np.ndarray:
-    return (_kept_power_array if cutoff <= _POWER_KEPT_CUTOFF else _power_array)(k, cutoff)
+def _work_set(cutoff: int) -> _WorkSet:
+    global _work
+    if cutoff > _POWER_KEPT_CUTOFF:
+        return _WorkSet(cutoff, keep=False)
+    if _work is None or _work.cutoff != cutoff:
+        _work = None  # the old set goes before the new one is built
+        _work = _WorkSet(cutoff, keep=True)
+    return _work
 
 
 # Truncated sums kept; one seed-1 numeric-eval round asks for 762 and
@@ -108,29 +145,32 @@ _TRUNCATED_MAX = 4096
 
 @lru_cache(maxsize=_TRUNCATED_MAX)
 def _truncated(parts: tuple[int, ...], cutoff: int, strict: bool) -> float:
-    cur = _powers(parts[-1], cutoff)
-    if len(parts) > 1:
-        import numpy as np
+    import numpy as np
 
-        prefix, buf = np.empty(cutoff), np.empty(cutoff)
+    with _work_lock:
+        work = _work_set(cutoff)
+        prefix, buf = work.prefix, work.buf
+        cur = work.powers(parts[-1])
         for k in reversed(parts[:-1]):
-            powers = _powers(k, cutoff)
-            np.cumsum(cur, out=prefix)
+            np.cumsum(cur, out=prefix)  # before the next power overwrites buf
+            powers = work.powers(k)
             if strict:
-                # the leading zero keeps the summed length, and so numpy's
+                np.multiply(powers[1:], prefix[:-1], out=buf[1:])
+                # after the multiply, since the power wrote buf[0]; the
+                # leading zero keeps the summed length, and so numpy's
                 # pairwise-sum blocks and every bit of the result
                 buf[0] = 0.0
-                np.multiply(powers[1:], prefix[:-1], out=buf[1:])
             else:
                 np.multiply(powers, prefix, out=buf)
             cur = buf
-    return float(cur.sum())
+        return float(cur.sum())
 
 
 def clear_cache() -> None:
+    global _work
     _truncated.cache_clear()
     _compiled_word.cache_clear()
-    _kept_power_array.cache_clear()
+    _work = None
     clear_memos()
 
 

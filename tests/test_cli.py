@@ -285,6 +285,16 @@ class TestUsageErrors:
         assert code == 2 and "MAX_DIGITS" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_a_lowered_interpreter_digit_limit_is_a_usage_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, "product", "--left", "1" * 1000, "--right", "2")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "past sys.get_int_max_str_digits() = 640" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

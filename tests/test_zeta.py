@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -244,7 +245,7 @@ class TestCompiledMemo:
 
 
 def truncated_reference(parts, cutoff, strict):
-    """_truncated as it was before the kept powers: fresh arrays on every call."""
+    """_truncated as it was before the work set: fresh arrays on every call."""
     vals = np.arange(1, cutoff + 1, dtype=np.float64)
     cur = None
     for k in reversed(parts):
@@ -259,104 +260,101 @@ def truncated_reference(parts, cutoff, strict):
     return float(cur.sum())
 
 
-def kept_info():
-    return zeta._kept_power_array.cache_info()
+def work_arrays(work):
+    return (work.base, *work.kept.values(), work.prefix, work.buf)
 
 
 class TestKeptPowers:
-    """The last m^-k arrays at a cutoff up to ``_POWER_KEPT_CUTOFF`` are kept
-    between misses, least recently used first; the values stay bit for bit
-    those of fresh arrays."""
+    """A miss works in one work set, kept for the last cutoff up to
+    ``_POWER_KEPT_CUTOFF`` with m^-1 and m^-2 read-only, or built for its call
+    above that; the values stay bit for bit those of fresh arrays."""
 
-    INDICES = list(admissible_indices(9, 4))
+    # repeated parts >= 3 are computed into the buffer the previous part used
+    INDICES = sorted(set(admissible_indices(9, 4)) | {(3, 3, 3), (4, 3, 3, 1), (10,)})
 
     @pytest.mark.parametrize(
         "cutoff", [1, 2, 17, 10_000, zeta._POWER_KEPT_CUTOFF, zeta._POWER_KEPT_CUTOFF + 1, 200_001]
     )
     def test_cold_warm_and_evicted_equal_the_reference(self, cutoff):
+        # "evicted": the kept set was rebuilt for another cutoff and back
+        # (1e5 -> 1e4 -> 1e5 at numeric-eval's cutoff)
+        other = 10_000 if cutoff != 10_000 else zeta._POWER_KEPT_CUTOFF
         for parts in self.INDICES:
             for strict in (True, False):
                 want = truncated_reference(parts, cutoff, strict)
                 clear_cache()
                 assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)  # cold
                 if cutoff > zeta._POWER_KEPT_CUTOFF:
-                    assert kept_info().currsize == 0  # nothing is kept, so every call is cold
+                    assert zeta._work is None  # a larger set lives for its call only
+                    mzv((2,), EvalConfig(other))
+                    zeta._truncated.cache_clear()
+                    assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)
+                    assert zeta._work.cutoff == other  # the kept set stays
                     continue
                 zeta._truncated.cache_clear()
                 assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)  # warm
                 zeta._truncated.cache_clear()
-                zeta._powers(1, 3)
-                zeta._powers(2, 3)  # evicts every array the sum used
-                assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)  # evicted
-                assert kept_info().currsize <= zeta._POWERS_KEPT
+                mzv((2,), EvalConfig(other))
+                assert zeta._truncated(parts, cutoff, strict) == want, (parts, strict)  # switched
+                assert zeta._work.cutoff == cutoff
         clear_cache()
 
     def test_kept_floats_stay_within_the_budget(self):
-        assert zeta._POWERS_KEPT * zeta._POWER_KEPT_CUTOFF == 200_000
-        assert kept_info().maxsize == zeta._POWERS_KEPT
+        assert 5 * zeta._POWER_KEPT_CUTOFF == 500_000
+        assert zeta._KEPT_EXPONENTS == (1, 2)
         clear_cache()
         for cutoff in (17, 100_000, 10_000, 60_000, 100_000, 1):
-            for k in (2, 1, 3, 2):
-                kept = zeta._powers(k, cutoff)
-                assert zeta._powers(k, cutoff) is kept
-                assert kept_info().currsize <= zeta._POWERS_KEPT
-        before = kept_info()
-        larger = zeta._powers(2, zeta._POWER_KEPT_CUTOFF + 1)
-        assert larger.size == zeta._POWER_KEPT_CUTOFF + 1
-        assert kept_info() == before  # computed for its call only
-        clear_cache()
-
-    def test_least_recently_used_is_evicted_first(self):
-        # requests at numeric-eval's cutoff, 1e5, against a model of two
-        # kept arrays, least recently used first
-        clear_cache()
-        cutoff = zeta._POWER_KEPT_CUTOFF
-        model = []
-        for k in (2, 3, 2, 4, 2, 3, 3, 1, 4, 1, 2, 2, 5, 1, 5, 3):
-            misses = kept_info().misses
-            hit = k in model
-            if hit:
-                model.remove(k)
-            elif len(model) == zeta._POWERS_KEPT:
-                model.pop(0)
-            model.append(k)
-            zeta._powers(k, cutoff)
-            assert kept_info().misses == misses + (not hit), k
-        assert kept_info().currsize == len(model)
+            zeta._truncated.cache_clear()
+            for parts in ((2,), (3, 1), (2, 2, 4)):
+                mzv(parts, EvalConfig(cutoff))
+                work = zeta._work
+                assert work.cutoff == cutoff and sorted(work.kept) == [1, 2]
+                assert sum(a.size for a in work_arrays(work)) == 5 * cutoff
+                assert work.powers(1) is work.kept[1] and work.powers(2) is work.kept[2]
+        kept = zeta._work
+        mzv((2, 1), EvalConfig(zeta._POWER_KEPT_CUTOFF + 1))
+        assert zeta._work is kept  # computed for its call only
         clear_cache()
 
     def test_kept_arrays_reject_writes(self):
         clear_cache()
         mzv((2, 1), EvalConfig(100))
-        assert kept_info().currsize == 2
-        misses = kept_info().misses
-        for k in (2, 1):
+        work = zeta._work
+        for array in (work.base, *work.kept.values()):
             with pytest.raises(ValueError):
-                zeta._powers(k, 100)[0] = 1.0
-        assert kept_info().misses == misses  # both were the kept arrays
-        with pytest.raises(ValueError):
-            zeta._powers(2, zeta._POWER_KEPT_CUTOFF + 1)[0] = 1.0
+                array[0] = 1.0
+        mzv_star((3, 1, 2), EvalConfig(100))
+        assert zeta._work is work  # the same cutoff keeps the same set
         clear_cache()
 
     def test_clear_cache_empties_the_kept_powers(self):
-        memos = (zeta._truncated, zeta._compiled_word, zeta._kept_power_array)
+        memos = (zeta._truncated, zeta._compiled_word)
         mzv_star((3, 1, 2), EvalConfig(1_000))
         z_t_eval("xyy", EvalConfig(100))
         assert all(memo.cache_info().currsize for memo in memos)
+        assert zeta._work is not None
         clear_cache()
-        assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+        assert zeta._work is None
 
     def test_threads_keep_the_budget(self):
         clear_cache()
-        cutoffs = (1, 17, 5_000, 60_000, 100_000, 100_001)
+        cutoffs = (1, 17, 5_000, 60_000, zeta._POWER_KEPT_CUTOFF + 1)
+        indices = ((2,), (3, 1), (2, 3, 3), (4, 1, 2), (3, 3, 3))
+        want = {
+            (parts, cutoff, strict): truncated_reference(parts, cutoff, strict)
+            for parts in indices
+            for cutoff in cutoffs
+            for strict in (True, False)
+        }
+        miss = zeta._truncated.__wrapped__  # the sum without the memo, so every call misses
         errors = []
 
         def hammer(offset):
             try:
-                for i in range(60):
-                    k = 2 + (i + offset) % 3
-                    cutoff = cutoffs[(i * 3 + offset) % len(cutoffs)]
-                    assert zeta._powers(k, cutoff)[-1] == float(cutoff) ** -k
+                for i in range(40):
+                    key = (indices[(i + offset) % 5], cutoffs[(i * 3 + offset) % 5], bool(i % 2))
+                    assert miss(*key) == want[key], key
             except Exception as exc:  # re-raised by the main thread below
                 errors.append(exc)
 
@@ -372,14 +370,50 @@ class TestKeptPowers:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert kept_info().currsize <= zeta._POWERS_KEPT
+        assert zeta._work.cutoff in cutoffs
+        assert sum(a.size for a in work_arrays(zeta._work)) == 5 * zeta._work.cutoff
+        clear_cache()
+
+
+def traced_peak(call):
+    """The most bytes ``tracemalloc`` saw held at once during ``call()``,
+    numpy's data buffers included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkSetAllocations:
+    INDICES = ((2,), (10,), (2, 1), (3, 3, 3), (4, 3, 3, 1), (2, 1, 2, 1))
+
+    def test_a_miss_at_the_kept_cutoff_allocates_no_array(self):
+        n = zeta._POWER_KEPT_CUTOFF
+        clear_cache()
+        mzv((2,), EvalConfig(n))  # builds the set
+        for parts in self.INDICES:
+            for strict in (True, False):
+                peak = traced_peak(lambda: zeta._truncated.__wrapped__(parts, n, strict))
+                assert peak < 8 * n, (parts, strict, peak)
+        clear_cache()
+
+    def test_a_miss_above_the_kept_cutoff_holds_three_arrays(self):
+        n = zeta._POWER_KEPT_CUTOFF + 1
+        clear_cache()
+        for parts in self.INDICES:
+            for strict in (True, False):
+                peak = traced_peak(lambda: zeta._truncated.__wrapped__(parts, n, strict))
+                assert peak < 3 * 8 * n + 8 * 1024, (parts, strict, peak)
+        assert zeta._work is None
         clear_cache()
 
 
 class TestBoundedMemos:
     def test_every_memo_has_a_finite_bound(self):
         assert zeta._truncated.cache_info().maxsize == zeta._TRUNCATED_MAX
-        for memo in (zeta._truncated, zeta._compiled_word, zeta._kept_power_array):
+        for memo in (zeta._truncated, zeta._compiled_word):
             assert isinstance(memo.cache_info().maxsize, int), memo
 
     def test_an_admissible_sweep_never_evicts(self):
