@@ -17,14 +17,17 @@ across the two forms (``2 == Fraction(2)``), so serialization and equality
 do not depend on the form a caller passed in.
 
 All values are immutable, so they can be shared freely between threads.
-Every coefficient the t-stuffle product builds is a sum of products of
-(1 - 2t) and (t^2 - t), so the kernel meets few distinct ones: what it
-computes once per coefficient lives in the process-wide :class:`Memo`
-tables at the end of this module, keyed by ``TPoly.coeffs``, which normal
-form makes equal exactly when the polynomials are. A table holds at most
-``MEMO_LIMIT`` entries; the rows of ``TIMES`` and ``AT`` are tables too, so
-each of those two holds at most ``MEMO_LIMIT * (MEMO_LIMIT + 1)``. A race
-between threads can only form a value twice.
+:class:`Memo` is the package's one memo type: an entry weighs 1 unless
+stored with ``put``, and a store that would take the weight a table holds
+past its ``limit`` first empties the table. Every coefficient the t-stuffle
+product builds is a sum of products of (1 - 2t) and (t^2 - t), so the
+kernel meets few distinct ones: what it computes once per coefficient lives
+in the process-wide ``Memo`` tables at the end of this module, keyed by
+``TPoly.coeffs``, which normal form makes equal exactly when the
+polynomials are. A table holds at most ``MEMO_LIMIT`` entries; the rows of
+``TIMES`` and ``AT`` are tables too, so each of those two holds at most
+``MEMO_LIMIT * (MEMO_LIMIT + 1)``. A race between threads may form a value
+twice, or miscount a weight until the next clear, never a wrong value.
 """
 
 from __future__ import annotations
@@ -228,26 +231,34 @@ ONE_MINUS_2T = TPoly((1, -2))
 T2_MINUS_T = TPoly((0, -1, 1))
 
 
-# Entries a table holds before it empties itself. The largest that
-# ``verify all --max 3`` or a benchmark round fills holds 1,597.
+# Entries a coefficient table holds before it empties itself. The largest
+# that ``verify all --max 3`` or a benchmark round fills holds 1,597.
 MEMO_LIMIT = 2048
 
 
 class Memo(dict):
-    """``memo[key]`` is ``make(key)``, formed on first use; a memo holding
-    ``MEMO_LIMIT`` entries empties itself before it stores another."""
+    """``memo[key]`` is ``make(key)``, formed on first use and stored with
+    weight 1; ``put`` stores and returns a value with a weight of its own."""
 
-    __slots__ = ("make",)
+    __slots__ = ("make", "limit", "held")
 
-    def __init__(self, make: Callable) -> None:
+    def __init__(self, make: Callable | None = None, limit: int = MEMO_LIMIT) -> None:
         super().__init__()
-        self.make = make
+        self.make, self.limit, self.held = make, limit, 0
 
     def __missing__(self, key: Hashable):
-        if len(self) >= MEMO_LIMIT:
+        return self.put(key, self.make(key))
+
+    def put(self, key: Hashable, value, weight: int = 1):
+        if self.held + weight > self.limit:
             self.clear()
-        value = self[key] = self.make(key)
+        self.held += weight
+        self[key] = value
         return value
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
 
 
 TIMES = Memo(lambda a: Memo(lambda b: TPoly._normal(a) * TPoly._normal(b)))  # TIMES[a][b] is a * b

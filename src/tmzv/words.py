@@ -30,11 +30,16 @@ from .exact import _UNIT, AT, JSON, POLY_ONE, TIMES, TPoly
 
 Word = str
 
+# The largest index part, and so the most symbols one letter z_k may have.
+MAX_PART = 10**6
+
 
 def z_word(k: int) -> str:
-    """The word z_k = x^(k-1) y."""
+    """The word z_k = x^(k-1) y; :class:`BadParamsError` past ``MAX_PART``."""
     if k < 1:
         raise ValueError(f"z subscript must be positive, got {k}")
+    if k > MAX_PART:
+        raise BadParamsError(f"index parts must be at most MAX_PART = {MAX_PART:,}")
     return "x" * (k - 1) + "y"
 
 
@@ -52,11 +57,13 @@ def word_of_index(parts: Iterable[int]) -> str:
 
 def _check_index(parts: Iterable[int]) -> tuple[int, ...]:
     """The index as a tuple of ints; :class:`BadParamsError` unless every
-    part is a positive integer."""
+    part is a positive integer of at most ``MAX_PART``."""
     given = tuple(parts)
     idx = tuple(map(int, given))
     if idx != given or (idx and min(idx) < 1):
         raise BadParamsError(f"index parts must be positive integers, got {given}")
+    if idx and max(idx) > MAX_PART:
+        raise BadParamsError(f"index parts must be at most MAX_PART = {MAX_PART:,}")
     return idx
 
 

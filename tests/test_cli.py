@@ -179,6 +179,7 @@ class TestScalarIdentityCommands:
 RECURSIVE = "m=2,u=2,p=1,n=1,v=0"
 HEADS = "m=2,u=2,p=1,n=1,v=1"
 LONG = "1" * 5000  # past Python's 4,300-digit limit on reading an int
+HUGE_PART = "1" + "0" * 400  # an index part past MAX_PART and the float range
 
 
 class TestUsageErrors:
@@ -268,6 +269,13 @@ class TestUsageErrors:
             ),
             (["zeta-t", "--index", "2", "--cutoff", "10", "--t", "1e10000000"], "MAX_DIGITS = 4,300"),
             (["zeta-t", "--index", "2", "--cutoff", "10", "--t", "1e100000000"], "MAX_DIGITS = 4,300"),
+            (["product", "--left", "1" * 30, "--right", "2"], "MAX_PART = 1,000,000"),
+            (["zeta", "--index", HUGE_PART, "--cutoff", "10"], "MAX_PART = 1,000,000"),
+            (["verify", "power-product", "--params", "m=1,n=1,p=" + "9" * 30], "MAX_PART = 1,000,000"),
+            # refused for its part, not for its t value
+            (["zeta-t", "--index", HUGE_PART, "--t", "0.5"], "index parts must be at most MAX_PART"),
+            (["zeta-t", "--index", HUGE_PART, "--t", "0.5", "--method", "st"], "MAX_PART = 1,000,000"),
+            (["product", "--left", "1000001", "--right", "2", "--op", "classical"], "MAX_PART = 1,000,000"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):
@@ -328,7 +336,7 @@ _VALUES = [
     "", "0", "1", "-1", "2,1", "2,1,1", "1,2", "3,1", "1,0", "x", "xyy", "xz", "t", "o", "st",
     "classical", "boxes", "1/2", "1/0", "1e300", "1e400", "nan", "=", "m=2", "q=9", LONG,
 ]
-_INDICES = ["", "1", "2", "2,1", "1,2,1", "0", "1,0", "x", "²", "2,¹", LONG]
+_INDICES = ["", "1", "2", "2,1", "1,2,1", "0", "1,0", "x", "²", "2,¹", LONG, "2,1000001", HUGE_PART]
 _T_VALUES = ["0", "1", "1/2", "-1", "1/0", "1e300", "1e400", "x", "-3/4", "-1/2"]
 _PAIRS = st.lists(st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)), max_size=2).map(
     lambda pairs: [token for pair in pairs for token in pair]
@@ -369,6 +377,9 @@ _OTHER_ARGVS = st.builds(
         [
             ["product"], ["st"], ["zeta", "--cutoff", "1000"], ["zeta-star", "--cutoff", "1000"],
             ["zeta-t", "--cutoff", "1000"], ["eq31"], ["zeta8", "--max", "1"], ["frobnicate"], [],
+            # an index part past MAX_PART, which the pairs may replace
+            ["product", "--left", "1" * 30], ["zeta", "--cutoff", "1000", "--index", HUGE_PART],
+            ["zeta-t", "--cutoff", "1000", "--index", "2," + HUGE_PART],
         ]
     ),
     _PAIRS,

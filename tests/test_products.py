@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmzv import zeta
+from tmzv import products, zeta
 from tmzv.errors import BadParamsError, NotInH1Error
 from tmzv.exact import (
     AT,
@@ -20,6 +20,7 @@ from tmzv.exact import (
     JSON,
     MEMO_LIMIT,
     ONE_MINUS_2T,
+    Memo,
     PLUS,
     POLY_ONE,
     POLY_T,
@@ -32,6 +33,7 @@ from tmzv.identities import power_product_rhs
 from tmzv.products import (
     _CACHE_O,
     _CACHE_T,
+    PRODUCT_LETTERS,
     clear_caches,
     stuffle_classical,
     stuffle_combinatorial,
@@ -233,6 +235,19 @@ class TestEngineTable:
             assert set(cache) == cold_keys  # every primed pair is a suffix pair
             # what lets the engine add shared words without a zero check
             assert all(coeff.eval(-1) > 0 for _, coeff in cold.items())
+            # under a budget of a few letters nearly every store empties the
+            # memo, in the middle of a fill too
+            clear_caches()
+            cache.limit = 8
+            try:
+                for i, j, swap in primed:
+                    u, v = word_of_index(idx1[i:]), word_of_index(idx2[j:])
+                    op(*((v, u) if swap else (u, v)))
+                tiny = op(w1, w2)
+            finally:
+                cache.limit = PRODUCT_LETTERS
+            assert tiny == cold
+            assert _json_bytes(tiny) == _json_bytes(cold)
         clear_caches()
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -245,6 +260,118 @@ class TestEngineTable:
                 assert got == power_product_rhs(a, b, p), (a, b)
         z_p4 = dict(stuffle_t(word_of_index((p, p)), word_of_index((p, p))).items())
         assert z_p4[word_of_index((p,) * 4)] == TPoly((6,))
+
+
+def _letters(cache) -> int:
+    return sum(len(word) for elem in cache.values() for word, _ in elem.items())
+
+
+class TestProductBudget:
+    """The product memos hold at most ``PRODUCT_LETTERS`` letters, plus the
+    state whose store emptied them."""
+
+    def test_a_deep_product_keeps_its_memo_within_the_budget(self):
+        clear_caches()
+        u, v = word_of_index((2,) * 400), word_of_index((3,))
+        elem = stuffle_t(u, v)
+        assert len(elem) == 1200  # unbounded, the memo would hold 129 M letters
+        assert 0 < _CACHE_T.held == _letters(_CACHE_T) <= PRODUCT_LETTERS + len(elem) * len(u + v)
+        assert elem == stuffle_t(v, u)
+        clear_caches()
+        assert _CACHE_T.held == 0
+
+    @pytest.mark.parametrize("op", [stuffle_t, stuffle_o])
+    def test_a_product_survives_its_memo_emptied_after_each_store(self, op, monkeypatch):
+        class Emptied(Memo):
+            """As if another thread's store emptied the memo right after each
+            store of this one."""
+
+            def put(self, key, value, weight=1):
+                super().put(key, value, weight)
+                self.clear()
+                return value
+
+        w1, w2 = word_of_index((2, 1, 3)), word_of_index((1, 2))
+        clear_caches()
+        want = op(w1, w2)
+        monkeypatch.setattr(products, "_CACHE_O" if op is stuffle_o else "_CACHE_T", Emptied())
+        assert op(w1, w2) == want
+        assert op(w2, w1) == want
+
+    def test_threads_under_a_tiny_budget_get_equal_results(self):
+        pairs = [
+            (op, word_of_index(a), word_of_index(b))
+            for op in (stuffle_t, stuffle_o)
+            for a in small_indices(3, 2, False)
+            for b in small_indices(2, 3, False)
+        ]
+
+        def serve():
+            return [(elem, _json_bytes(elem)) for elem in (op(w1, w2) for op, w1, w2 in pairs)]
+
+        clear_caches()
+        want = serve()
+        got, errors = [], []
+
+        def run():
+            try:
+                for _ in range(3):
+                    got.append(serve())
+            except Exception as exc:  # a KeyError from a memo emptied by another thread, say
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        _CACHE_T.limit = _CACHE_O.limit = 32
+        try:
+            clear_caches()
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            _CACHE_T.limit = _CACHE_O.limit = PRODUCT_LETTERS
+            sys.setswitchinterval(old)
+            clear_caches()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert got == [want] * 12
+
+
+class TestMemo:
+    def test_put_holds_at_most_the_limit_plus_one_entry(self):
+        memo = Memo(limit=10)
+        weights = {}
+        for key, weight in enumerate([3, 4, 2, 5, 1, 1, 12, 7, 3, 10, 1]):
+            assert memo.put(key, -key, weight) == -key
+            if len(memo) == 1:  # the store emptied the memo
+                weights.clear()
+            weights[key] = weight
+            assert memo.held == sum(weights.values()) <= memo.limit + weight
+            assert set(memo) == set(weights) and memo[key] == -key
+        memo.clear()
+        assert not memo and memo.held == 0
+        memo.put("a", 1, 10)
+        assert memo.held == 10 and memo == {"a": 1}
+
+    def test_entries_weigh_one(self):
+        made = []
+        memo = Memo(lambda key: made.append(key) or key * key)
+        for key in range(MEMO_LIMIT + 5):
+            assert memo[key] == key * key
+            assert memo.held == len(memo) <= MEMO_LIMIT
+        assert memo[MEMO_LIMIT + 4] == (MEMO_LIMIT + 4) ** 2
+        assert made == [*range(MEMO_LIMIT + 5)]  # a hit forms nothing
+        assert len(memo) == 5  # emptied once, at MEMO_LIMIT entries
+        memo.clear()
+        assert not memo and memo.held == 0
+
+    def test_a_failed_make_stores_nothing(self):
+        memo = Memo(lambda key: 1 // key)
+        with pytest.raises(ZeroDivisionError):
+            memo[0]
+        assert not memo and memo.held == 0
 
 
 TABLES = {"TIMES": TIMES, "PLUS": PLUS, "AT": AT, "CONST": CONST, "JSON": JSON, "FLOATS": FLOATS}

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tmzv.errors import NotInH1Error
+from tmzv.errors import BadParamsError, NotInH1Error
 from tmzv.exact import ONE_MINUS_2T, POLY_ONE, POLY_T, POLY_ZERO, T2_MINUS_T, TPoly
 from tmzv.words import (
+    MAX_PART,
     Element,
+    _check_index,
     _concat_into,
     display_word,
     index_of_word,
@@ -70,6 +72,17 @@ class TestWords:
     def test_word_of_index_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             word_of_index((2, 0, 1))
+
+    def test_a_part_past_max_part_is_refused_before_its_letter_is_built(self):
+        assert len(z_word(MAX_PART)) == MAX_PART
+        assert _check_index((2, MAX_PART)) == (2, MAX_PART)
+        for part in (MAX_PART + 1, 10**12, 10**400):
+            with pytest.raises(BadParamsError, match="MAX_PART = 1,000,000"):
+                z_word(part)
+            with pytest.raises(BadParamsError, match="MAX_PART = 1,000,000"):
+                word_of_index((2, part))
+            with pytest.raises(BadParamsError, match="MAX_PART = 1,000,000"):
+                _check_index((part, 1))
 
     def test_index_of_word(self):
         assert index_of_word("xyy") == (2, 1)

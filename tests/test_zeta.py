@@ -11,6 +11,7 @@ import pytest
 
 from tmzv import zeta
 from tmzv.errors import BadParamsError, DivergentError, NotInH0Error
+from tmzv.exact import MEMO_LIMIT, Memo
 from tmzv.interpolation import s_t
 from tmzv.products import stuffle_t
 from tmzv.words import Element, index_of_word, word_of_index
@@ -215,12 +216,13 @@ class TestCompiledMemo:
                 z_t_eval(Element.from_word("yy"), cfg)
 
     def test_clear_cache_empties_the_bounded_memo(self):
-        info = zeta._compiled_word.cache_info
-        assert info().maxsize == zeta._COMPILED_MAX > 381
-        z_t_eval("xxyy", EvalConfig(100))
-        assert info().currsize > 0
+        memo = zeta._compiled_word
+        assert isinstance(memo, Memo) and memo.limit == MEMO_LIMIT > 381
         clear_cache()
-        assert info().currsize == 0
+        z_t_eval("xxyy", EvalConfig(100))
+        assert list(memo) == ["xxyy"] and memo.held == 1
+        clear_cache()
+        assert not memo and memo.held == 0
 
     def test_s_t_runs_once_per_word_between_clears(self, monkeypatch):
         # looked up by module name at call time, so a wrapper sees each call
@@ -328,13 +330,12 @@ class TestKeptPowers:
         clear_cache()
 
     def test_clear_cache_empties_the_kept_powers(self):
-        memos = (zeta._truncated, zeta._compiled_word)
         mzv_star((3, 1, 2), EvalConfig(1_000))
         z_t_eval("xyy", EvalConfig(100))
-        assert all(memo.cache_info().currsize for memo in memos)
+        assert zeta._truncated.cache_info().currsize and zeta._compiled_word
         assert zeta._work is not None
         clear_cache()
-        assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+        assert zeta._truncated.cache_info().currsize == 0 and not zeta._compiled_word
         assert zeta._work is None
 
     def test_threads_keep_the_budget(self):
@@ -413,8 +414,27 @@ class TestWorkSetAllocations:
 class TestBoundedMemos:
     def test_every_memo_has_a_finite_bound(self):
         assert zeta._truncated.cache_info().maxsize == zeta._TRUNCATED_MAX
-        for memo in (zeta._truncated, zeta._compiled_word):
-            assert isinstance(memo.cache_info().maxsize, int), memo
+        assert isinstance(zeta._compiled_word, Memo) and zeta._compiled_word.limit == MEMO_LIMIT
+
+    def test_truncated_is_the_one_lru_cache(self):
+        cached = [
+            f"{name}.{attr}"
+            for name, module in sorted(sys.modules.items())
+            if name == "tmzv" or name.startswith("tmzv.")
+            for attr, value in vars(module).items()
+            if hasattr(value, "cache_info")
+        ]
+        assert cached == ["tmzv.zeta._truncated"]
+
+    def test_an_overfilled_word_memo_stays_bounded_and_correct(self, monkeypatch):
+        clear_cache()
+        monkeypatch.setattr(zeta._compiled_word, "limit", 8)
+        cfg = EvalConfig(100, 0.5)
+        for word in map(word_of_index, admissible_indices(6, 3)):  # 25 words
+            for _ in range(2):
+                assert z_t_eval(word, cfg) == z_t_eval(Element.from_word(word), cfg), word
+                assert zeta._compiled_word.held == len(zeta._compiled_word) <= 8
+        clear_cache()
 
     def test_an_admissible_sweep_never_evicts(self):
         clear_cache()
