@@ -21,7 +21,7 @@ from .identities import VerifyReport
 from .interpolation import s_t
 from .products import stuffle_classical, stuffle_o, stuffle_t
 from .sweeps import STATEMENTS, run_statement
-from .words import Element, validate_word, word_of_index
+from .words import MAX_PART, Element, validate_word, word_of_index
 from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
 
@@ -119,6 +119,8 @@ def _parse_params(text: str) -> dict[str, int]:
             raise UsageError(f"malformed --params value {piece!r}")
         if key in out:
             raise UsageError(f"--params names {key!r} more than once")
+        if abs(number) > MAX_PART:
+            raise UsageError(f"--params value {key}={number} has absolute value past MAX_PART = {MAX_PART:,}")
         out[key] = number
     return out
 

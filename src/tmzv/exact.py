@@ -7,14 +7,11 @@ ring for everything the word algebra does.
 Its coefficients have one normal form: an integral value is a plain ``int``
 and only a value with denominator above 1 is a ``Fraction``. Every product
 and right-hand side the word algebra builds lies in Z[t], so the kernel runs
-on ``int`` arithmetic, which is several times cheaper than ``Fraction``; a
-``Fraction`` appears only where a rational point or a rational constant
-brings in a denominator. Evaluating an integer polynomial at a rational
-point p/q stays on ints too: Horner's rule accumulates the numerator with
-powers of q as the scale, and one ``Fraction`` division by q^deg reduces it.
-Both types have ``numerator``/``denominator`` and compare and hash alike
-across the two forms (``2 == Fraction(2)``), so serialization and equality
-do not depend on the form a caller passed in.
+on ``int`` arithmetic; a ``Fraction`` appears only where a rational point or
+a rational constant brings in a denominator. Both types have
+``numerator``/``denominator`` and compare and hash alike across the two
+forms (``2 == Fraction(2)``), so serialization and equality do not depend on
+the form a caller passed in.
 
 All values are immutable, so they can be shared freely between threads.
 :class:`Memo` is the package's one memo type: an entry weighs 1 unless
@@ -24,7 +21,9 @@ product builds is a sum of products of (1 - 2t) and (t^2 - t), so the
 kernel meets few distinct ones: what it computes once per coefficient lives
 in the process-wide ``Memo`` tables at the end of this module, keyed by
 ``TPoly.coeffs``, which normal form makes equal exactly when the
-polynomials are. A table holds at most ``MEMO_LIMIT`` entries; the rows of
+polynomials are. They are the one fast path: ``TPoly`` arithmetic is the
+plain reference, one loop per operation, and the kernel runs it only when a
+table misses. A table holds at most ``MEMO_LIMIT`` entries; the rows of
 ``TIMES`` and ``AT`` are tables too, so each of those two holds at most
 ``MEMO_LIMIT * (MEMO_LIMIT + 1)``. A race between threads may form a value
 twice, or miscount a weight until the next clear, never a wrong value.
@@ -65,8 +64,7 @@ class TPoly:
     the zero polynomial stores an empty tuple and ``degree`` is
     ``len(coeffs) - 1`` for everything else. Each coefficient is stored in
     normal form, a plain ``int`` when integral and a ``Fraction`` with
-    denominator above 1 otherwise, whatever the caller passed in. Values are
-    immutable, so an operation may return one of its operands unchanged.
+    denominator above 1 otherwise, whatever the caller passed in.
     """
 
     __slots__ = ("coeffs",)
@@ -76,14 +74,6 @@ class TPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction | int, ...] = tuple(cs)
-
-    @classmethod
-    def _normal(cls, coeffs: tuple[Fraction | int, ...]) -> "TPoly":
-        """Wrap coefficients that are already in normal form, with no trailing
-        zero, skipping the pass of ``__init__``."""
-        poly = cls.__new__(cls)
-        poly.coeffs = coeffs
-        return poly
 
     @classmethod
     def const(cls, c: Fraction | int) -> "TPoly":
@@ -110,17 +100,10 @@ class TPoly:
         out = list(a)
         for d, c in enumerate(b):
             out[d] += c
-        for c in out:
-            if type(c) is not int:  # a sum of Fractions may be integral
-                return TPoly(out)
-        # an int-only sum is in normal form once the zeros its top
-        # coefficients cancel to are stripped
-        while out and out[-1] == 0:
-            out.pop()
-        return TPoly._normal(tuple(out))
+        return TPoly(out)
 
     def __neg__(self) -> "TPoly":
-        return TPoly._normal(tuple(-c for c in self.coeffs))
+        return TPoly(-c for c in self.coeffs)
 
     def __sub__(self, other: "TPoly") -> "TPoly":
         if not isinstance(other, TPoly):
@@ -128,37 +111,17 @@ class TPoly:
         return self + (-other)
 
     def __mul__(self, other: "TPoly | Fraction | int") -> "TPoly":
-        if type(other) is not TPoly:
-            if not isinstance(other, (Fraction, int)):
-                return NotImplemented
-            other = _canon(other)
-            if other == 1:
-                return self
-            if type(other) is int and other:
-                # an int times a nonzero int is a nonzero int; only a
-                # Fraction coefficient can become integral
-                return TPoly._normal(
-                    tuple(c * other if type(c) is int else _canon(c * other) for c in self.coeffs)
-                )
-            return TPoly(tuple(c * other for c in self.coeffs))
-        if self.coeffs == _UNIT:
-            return other
-        if other.coeffs == _UNIT:
-            return self
-        if self.is_zero or other.is_zero:
-            return POLY_ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        for c in out:
-            if type(c) is not int:  # a Fraction operand; the sum may be integral
-                return TPoly(out)
-        # an int-only product is in normal form already: its leading
-        # coefficient is the product of the two nonzero leading ones
-        return TPoly._normal(tuple(out))
+        if isinstance(other, TPoly):
+            b = other.coeffs
+        elif isinstance(other, (Fraction, int)):
+            b = (other,)  # a scalar is a constant polynomial
+        else:
+            return NotImplemented
+        out = [0] * (len(self.coeffs) + len(b) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return TPoly(out)
 
     __rmul__ = __mul__
 
@@ -179,22 +142,18 @@ class TPoly:
         return hash(self.coeffs)
 
     def eval(self, t0: Fraction | int) -> Fraction | int:
-        """Exact Horner evaluation at a rational point, in normal form.
-
-        At t0 = p/q (q = 1 for an int) the sum of c_d p^d q^(deg-d) is
-        accumulated with powers of q as the scale and divided by q^deg once:
-        int coefficients make no ``Fraction`` in the loop, others pass exactly."""
-        t0 = _canon(t0)
+        """Exact Horner evaluation at a rational point p/q, in normal form. The
+        loop runs on the numerator, with powers of q as the scale, so that int
+        coefficients make no ``Fraction`` until the one that closes it."""
         p, q = t0.numerator, t0.denominator
         acc, scale = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * p + c * scale
-            scale *= q
-        return _canon(Fraction(acc, scale // q)) if self.coeffs else 0
+            acc, scale = acc * p + c * scale, scale * q
+        return _canon(Fraction(acc * q, scale))
 
     def to_json(self) -> list[str]:
         """Coefficients as "num/den" strings, ascending powers of t."""
-        return [f"{c}/1" if type(c) is int else format_rational(c) for c in self.coeffs]
+        return [format_rational(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, items: Iterable[str]) -> "TPoly":
@@ -223,7 +182,6 @@ class TPoly:
         return f"TPoly({self.coeffs!r})"
 
 
-_UNIT = (1,)
 POLY_ZERO = TPoly()
 POLY_ONE = TPoly.const(1)
 POLY_T = TPoly((0, 1))
@@ -261,11 +219,11 @@ class Memo(dict):
         self.held = 0
 
 
-TIMES = Memo(lambda a: Memo(lambda b: TPoly._normal(a) * TPoly._normal(b)))  # TIMES[a][b] is a * b
-PLUS = Memo(lambda ab: TPoly._normal(ab[0]) + TPoly._normal(ab[1]))  # PLUS[a, b] is a + b
-AT = Memo(lambda t0: Memo(lambda c: CONST[TPoly._normal(c).eval(t0)]))  # AT[t0][c] is c at t0
-CONST = Memo(lambda value: TPoly._normal((value,)) if value else POLY_ZERO)  # one object per value
-JSON = Memo(lambda c: TPoly._normal(c).to_json())  # callers copy the list
+TIMES = Memo(lambda a: Memo(lambda b: TPoly(a) * TPoly(b)))  # TIMES[a][b] is a * b
+PLUS = Memo(lambda ab: TPoly(ab[0]) + TPoly(ab[1]))  # PLUS[a, b] is a + b
+AT = Memo(lambda t0: Memo(lambda c: CONST[TPoly(c).eval(t0)]))  # AT[t0][c] is c at t0
+CONST = Memo(TPoly.const)  # one object per value
+JSON = Memo(lambda c: TPoly(c).to_json())  # callers copy the list
 FLOATS = Memo(lambda c: tuple(float(x) for x in reversed(c)))  # highest power first
 
 

@@ -92,9 +92,9 @@ Bracket = list[tuple[str, TPoly]]
 
 
 def _merged(prefix: str, k: int, last: bool) -> Bracket:
-    """The merged letter behind ``prefix``: (1-2t) z_k, plus (t^2-t) x^k
-    unless nothing follows it (``last``)."""
-    merged: Bracket = [(prefix + z_word(k), ONE_MINUS_2T)]
+    """The merged letter behind ``prefix``: (1-2t) z_k, which may run past
+    ``MAX_PART``, plus (t^2-t) x^k unless nothing follows it (``last``)."""
+    merged: Bracket = [(prefix + "x" * (k - 1) + "y", ONE_MINUS_2T)]
     return merged if last else merged + [(prefix + "x" * k, T2_MINUS_T)]
 
 

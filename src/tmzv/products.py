@@ -53,7 +53,7 @@ from typing import Iterable
 
 from .errors import NotInH1Error
 from .exact import ONE_MINUS_2T, PLUS, POLY_ONE, T2_MINUS_T, TIMES, Memo, TPoly, clear_memos
-from .words import Element, _check_index, _concat_into, validate_word, z_word
+from .words import Element, _check_index, _concat_into, validate_word
 
 PRODUCT_LETTERS = 1 << 24  # letters one product memo holds before it empties itself
 _CACHE_T = Memo(limit=PRODUCT_LETTERS)
@@ -170,7 +170,7 @@ def _merge_patterns(p1: tuple[int, ...], p2: tuple[int, ...], runs: dict[tuple[i
             terms = table.pop((i, j))
             for (a, b), coeff in steps.items():
                 if i >= a and j >= b:
-                    letter = z_word(s1[i] - s1[i - a] + s2[j] - s2[j - b])
+                    letter = "x" * (s1[i] - s1[i - a] + s2[j] - s2[j - b] - 1) + "y"  # may pass MAX_PART
                     _concat_into(table.setdefault((i - a, j - b), {}), [(letter, coeff)], terms.items())
     return Element._unsafe(terms)  # (0, 0), the last state, grows into none
 

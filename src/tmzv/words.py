@@ -16,8 +16,9 @@ outside this module only the product engine touches their terms, to read
 them. That is what lets the products return their memoized Elements shared
 instead of copied.
 
-The per-term loops read each coefficient's products, constants at a point
-and JSON strings from the coefficient tables of :mod:`tmzv.exact`.
+The per-term loops read each coefficient's products, sums, constants at a
+point and JSON strings from the coefficient tables of :mod:`tmzv.exact`;
+``TPoly`` arithmetic is the plain reference, run only when a table misses.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Collection, Iterable, ItemsView, Mapping
 
 from .errors import BadParamsError, NotInH1Error
-from .exact import _UNIT, AT, JSON, POLY_ONE, TIMES, TPoly
+from .exact import AT, JSON, PLUS, POLY_ONE, TIMES, TPoly
 
 Word = str
 
@@ -103,15 +104,6 @@ def _sorted_words(words: Iterable[str]) -> list[str]:
     return out
 
 
-def _iadd(terms: dict[str, TPoly], word: str, coeff: TPoly) -> None:
-    cur = terms.get(word)
-    new = coeff if cur is None else cur + coeff
-    if new.is_zero:
-        terms.pop(word, None)
-    else:
-        terms[word] = new
-
-
 Term = tuple[str, TPoly]
 
 
@@ -119,15 +111,15 @@ def _concat_into(out: dict[str, TPoly], left: Iterable[Term], right: Collection[
     """The concatenation kernel: ``out += left · right``, adding ``c1 * c2``
     under ``w1 + w2`` for every pair of terms and skipping the multiplication
     when a left coefficient is 1. ``right`` is walked once per left term, and
-    each product of coefficients is read from ``TIMES``. It is the one
-    accumulate path outside :class:`Element`: it serves the builders, the
-    oracles, the interpolation maps and the bilinear extension (the product
-    engine builds its states from disjoint blocks instead), and adds inline
-    rather than through :func:`_iadd`; both sides hold nonzero
+    each product and sum of coefficients is read from ``TIMES`` and ``PLUS``.
+    It is the one accumulate path for nonzero terms: it serves the sums and
+    scalings of :class:`Element`, the builders, the oracles, the
+    interpolation maps and the bilinear extension (the product engine builds
+    its states from disjoint blocks instead). Both sides hold nonzero
     coefficients, so only an add can cancel a word."""
     get = out.get
     for w1, c1 in left:
-        unit = c1.coeffs == _UNIT
+        unit = c1.coeffs == (1,)
         row = TIMES[c1.coeffs]
         for w2, c2 in right:
             word = w1 + w2
@@ -136,7 +128,7 @@ def _concat_into(out: dict[str, TPoly], left: Iterable[Term], right: Collection[
             if cur is None:
                 out[word] = coeff
             else:
-                coeff = cur + coeff
+                coeff = PLUS[cur.coeffs, coeff.coeffs]
                 if coeff.coeffs:
                     out[word] = coeff
                 else:
@@ -160,8 +152,12 @@ class Element:
         data: dict[str, TPoly] = {}
         pairs = terms.items() if isinstance(terms, Mapping) else terms
         for word, coeff in pairs:
-            validate_word(word)
-            _iadd(data, word, _as_poly(coeff))
+            cur, poly = data.get(validate_word(word)), _as_poly(coeff)
+            new = poly if cur is None else cur + poly
+            if new:
+                data[word] = new
+            else:
+                data.pop(word, None)
         self._terms = data
 
     @classmethod
@@ -212,8 +208,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            _iadd(out, word, coeff)
+        _concat_into(out, [("", POLY_ONE)], other._terms.items())
         return Element._unsafe(out)
 
     def __neg__(self) -> "Element":
@@ -225,10 +220,11 @@ class Element:
         return self + (-other)
 
     def scale(self, coeff: CoeffLike) -> "Element":
+        out: dict[str, TPoly] = {}
         poly = _as_poly(coeff)
-        if poly.is_zero:
-            return Element.zero()
-        return Element._unsafe({w: c * poly for w, c in self._terms.items()})
+        if poly:
+            _concat_into(out, [("", poly)], self._terms.items())
+        return Element._unsafe(out)
 
     def __mul__(self, other: "Element") -> "Element":
         """Concatenation product, extended bilinearly."""

@@ -180,6 +180,7 @@ RECURSIVE = "m=2,u=2,p=1,n=1,v=0"
 HEADS = "m=2,u=2,p=1,n=1,v=1"
 LONG = "1" * 5000  # past Python's 4,300-digit limit on reading an int
 HUGE_PART = "1" + "0" * 400  # an index part past MAX_PART and the float range
+NINES = "9" * 30  # a --params value past MAX_PART
 
 
 class TestUsageErrors:
@@ -276,6 +277,13 @@ class TestUsageErrors:
             (["zeta-t", "--index", HUGE_PART, "--t", "0.5"], "index parts must be at most MAX_PART"),
             (["zeta-t", "--index", HUGE_PART, "--t", "0.5", "--method", "st"], "MAX_PART = 1,000,000"),
             (["product", "--left", "1000001", "--right", "2", "--op", "classical"], "MAX_PART = 1,000,000"),
+            (["verify", "power-product", "--params", f"m={NINES},n=1,p=1"], "MAX_PART = 1,000,000"),
+            (["verify", "recursive", "--params", f"m=2,u=2,p=1,n={NINES},v=0"], "MAX_PART = 1,000,000"),
+            (["verify", "closed-form", "--params", f"m=2,u=2,p=1,n={NINES},v=0"], "MAX_PART = 1,000,000"),
+            (["verify", "decomposition", "--params", f"m=2,u=2,p=1,n={NINES},v=0"], "MAX_PART = 1,000,000"),
+            (["verify", "head-tail", "--params", f"head=2,p=1,k={NINES},m=1"], "MAX_PART = 1,000,000"),
+            (["verify", "gaussian", "--params", f"l={NINES}"], "MAX_PART = 1,000,000"),
+            (["verify", "factorial", "--params", f"k={10**30}"], "MAX_PART = 1,000,000"),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):
@@ -285,6 +293,23 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert needle in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["product", "--left", "1000000", "--right", "1", "--op", "classical"],
+            ["verify", "pivot", "--left", "1000000", "--right", "1"],
+            ["verify", "combinatorial", "--left", "1000000", "--right", "1"],
+            ["verify", "t0-reduction", "--left", "1000000", "--right", "1"],
+            ["verify", "recursive", "--params", "m=1000000,u=1,p=1,n=0,v=0"],
+            ["verify", "closed-form", "--params", "m=1000000,u=2,p=1,n=0,v=0"],
+            ["verify", "head-tail", "--params", "head=1000000,p=1,k=0,m=1"],
+        ],
+    )
+    def test_a_merged_letter_past_max_part_is_no_usage_error(self, capsys, argv):
+        # a part of MAX_PART merged with another makes a letter past it
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err
 
     @pytest.mark.parametrize("t", ["1e10000000", "1e100000000"])
     def test_long_t_exponent_is_refused_before_it_is_built(self, capsys, t):
@@ -335,6 +360,7 @@ _FLAGS = [
 _VALUES = [
     "", "0", "1", "-1", "2,1", "2,1,1", "1,2", "3,1", "1,0", "x", "xyy", "xz", "t", "o", "st",
     "classical", "boxes", "1/2", "1/0", "1e300", "1e400", "nan", "=", "m=2", "q=9", LONG,
+    f"n={NINES}",
 ]
 _INDICES = ["", "1", "2", "2,1", "1,2,1", "0", "1,0", "x", "²", "2,¹", LONG, "2,1000001", HUGE_PART]
 _T_VALUES = ["0", "1", "1/2", "-1", "1/0", "1e300", "1e400", "x", "-3/4", "-1/2"]

@@ -216,7 +216,7 @@ class TestNormalForm:
     def test_unit_multiply_returns_operand(self, cs):
         p = TPoly(cs)
         assume(p != POLY_ONE)  # one * one returns either operand
-        assert POLY_ONE * p is p
-        assert p * POLY_ONE is p
-        assert p * 1 is p
-        assert Fraction(1) * p is p
+        assert POLY_ONE * p == p
+        assert p * POLY_ONE == p
+        assert p * 1 == p
+        assert Fraction(1) * p == p

@@ -24,6 +24,7 @@ from tmzv.exact import (
     PLUS,
     POLY_ONE,
     POLY_T,
+    POLY_ZERO,
     T2_MINUS_T,
     TIMES,
     TPoly,
@@ -40,7 +41,15 @@ from tmzv.products import (
     stuffle_o,
     stuffle_t,
 )
-from tmzv.words import Element, index_of_word, is_admissible, weight, word_of_index
+from tmzv.words import (
+    MAX_PART,
+    Element,
+    _concat_into,
+    index_of_word,
+    is_admissible,
+    weight,
+    word_of_index,
+)
 
 
 def small_indices(max_depth=2, max_part=3, include_empty=True):
@@ -405,6 +414,29 @@ class TestCoefficientTables:
             assert FLOATS[key] == (1.0, float(k))
         clear_memos()
 
+    def test_concat_sums_equal_plain_arithmetic_through_a_tiny_plus(self):
+        # PLUS empties itself at every other store; the sums must still be
+        # those of plain TPoly arithmetic, and the cancelled word "xy" goes
+        start = {"y": TPoly((1, 1)), "xy": TPoly((0, 3, 2)), "xxy": TPoly((3,))}
+        left = [("xx", POLY_T), ("", TPoly((Fraction(1, 2), 1))), ("", POLY_ONE)]
+        right = [("y", TPoly((Fraction(-1, 3),))), ("xy", TPoly((0, -2))), ("xxy", TPoly((1, 4)))]
+        want = dict(start)
+        for w1, c1 in left:
+            for w2, c2 in right:
+                want[w1 + w2] = want.get(w1 + w2, POLY_ZERO) + c1 * c2
+        want = {w: c for w, c in want.items() if c}
+        limit = PLUS.limit
+        PLUS.limit = 2
+        try:
+            clear_memos()
+            out = dict(start)
+            _concat_into(out, left, right)
+            assert out == want and "xy" not in out
+            assert 0 < len(PLUS) <= 2
+        finally:
+            PLUS.limit = limit
+            clear_memos()
+
     @pytest.mark.parametrize("clear", [clear_caches, zeta.clear_cache])
     def test_every_table_empties_with_the_caches(self, clear):
         clear_caches()
@@ -490,6 +522,14 @@ class TestClassical:
         want = stuffle_t("yy", "y").eval_at(Fraction(0))
         assert got == want
         assert got == Element([("yyy", 3), ("yxy", 1), ("xyy", 1)])
+
+    def test_a_merged_letter_may_pass_max_part(self):
+        # z_MAX_PART merged with z_1 is z_(MAX_PART + 1), built as the engine builds it
+        w1, w2 = word_of_index((MAX_PART,)), word_of_index((1,))
+        want = stuffle_t(w1, w2)
+        assert stuffle_classical((MAX_PART,), (1,)) == want.eval_at(Fraction(0))
+        assert stuffle_combinatorial((MAX_PART,), (1,)) == want
+        clear_caches()
 
     def test_merged_letters_are_pairwise_sums(self):
         # independent enumeration allowing only singletons and pair merges

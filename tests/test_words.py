@@ -37,6 +37,10 @@ mixed_coeffs = st.one_of(
     small_coeffs,
 )
 mixed_elements = st.lists(st.tuples(raw_words, mixed_coeffs), max_size=6).map(Element)
+# what Element.scale takes: a polynomial, an int or a Fraction
+scalars = st.one_of(
+    mixed_coeffs, st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
 vanishing_coeffs = st.lists(
     st.tuples(raw_words, st.one_of(st.just(POLY_ZERO), mixed_coeffs)), max_size=3
 )
@@ -149,6 +153,19 @@ class TestElement:
         got = a * b
         assert got == naive
         assert json.dumps(got.to_json_obj()) == json.dumps(naive.to_json_obj())
+
+    @given(st.data(), scalars)
+    def test_add_and_scale_match_a_dict_reference(self, data, scalar):
+        # the pool holds each coefficient and its negative, so sums may cancel
+        pool = data.draw(coeff_pools)
+        a, b = (Element(data.draw(pool_terms(pool))) for _ in range(2))
+        want = dict(a.items())
+        for word, coeff in b.items():
+            want[word] = want.get(word, POLY_ZERO) + coeff
+        assert dict((a + b).items()) == {w: c for w, c in want.items() if c}
+        poly = scalar if isinstance(scalar, TPoly) else TPoly.const(scalar)
+        scaled = {w: c * poly for w, c in a.items()}
+        assert dict(a.scale(scalar).items()) == {w: c for w, c in scaled.items() if c}
 
     @given(elements, elements, elements)
     def test_concat_associative(self, a, b, c):
