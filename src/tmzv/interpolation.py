@@ -11,12 +11,17 @@ coefficient, through the concatenation kernel of :mod:`tmzv.words`.
 
 Composed with a truncated evaluator, ``s_t`` turns algebra elements into
 interpolated multiple zeta values (see :mod:`tmzv.zeta`).
+
+Both maps refuse a word of more than ``MAX_BOXES_DEPTH`` letters y, whose
+image would hold up to 2^d words, with :class:`BadParamsError` before
+expanding anything; :mod:`tmzv.words` checks the letters.
 """
 
 from __future__ import annotations
 
+from .errors import BadParamsError
 from .exact import POLY_ONE, POLY_T, TIMES, TPoly
-from .words import Element, _concat_into, validate_word
+from .words import MAX_BOXES_DEPTH, Element, _concat_into
 
 
 def _sigma_word(word: str, c: TPoly) -> dict[str, TPoly]:
@@ -39,6 +44,15 @@ def _sigma_word(word: str, c: TPoly) -> dict[str, TPoly]:
     return pairs
 
 
+def _element(a: str | Element) -> Element:
+    """The input as an Element, refused if a word has too many letters y."""
+    elem = Element.from_word(a) if isinstance(a, str) else a
+    depth = max([word.count("y") for word, _ in elem.items()], default=0)
+    if depth > MAX_BOXES_DEPTH:
+        raise BadParamsError(f"the maps take at most MAX_BOXES_DEPTH = {MAX_BOXES_DEPTH} letters y, got {depth}")
+    return elem
+
+
 def sigma_t(a: str | Element, y_coeff: TPoly | None = None) -> Element:
     """Apply the substitution to every letter; linear on Elements.
 
@@ -46,9 +60,8 @@ def sigma_t(a: str | Element, y_coeff: TPoly | None = None) -> Element:
     polynomial t).
     """
     c = POLY_T if y_coeff is None else y_coeff
-    elem = Element.from_word(validate_word(a)) if isinstance(a, str) else a
     out: dict[str, TPoly] = {}
-    for word, coeff in elem.items():
+    for word, coeff in _element(a).items():
         _concat_into(out, [("", coeff)], _sigma_word(word, c).items())
     return Element._unsafe(out)
 
@@ -57,8 +70,7 @@ def s_t(a: str | Element, y_coeff: TPoly | None = None) -> Element:
     """Substitute in all letters except the last of each word; the empty word
     and single letters are fixed."""
     c = POLY_T if y_coeff is None else y_coeff
-    elem = Element.from_word(validate_word(a)) if isinstance(a, str) else a
     out: dict[str, TPoly] = {}
-    for word, coeff in elem.items():  # the empty prefix maps to the unit
+    for word, coeff in _element(a).items():  # the empty prefix maps to the unit
         _concat_into(out, _sigma_word(word[:-1], c).items(), [(word[-1:], coeff)])
     return Element._unsafe(out)

@@ -51,9 +51,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable
 
-from .errors import NotInH1Error
 from .exact import ONE_MINUS_2T, PLUS, POLY_ONE, T2_MINUS_T, TIMES, Memo, TPoly, clear_memos
-from .words import Element, _check_index, _concat_into, validate_word
+from .words import Element, _check_index, _concat_into, _require_h1
 
 PRODUCT_LETTERS = 1 << 24  # letters one product memo holds before it empties itself
 _CACHE_T = Memo(limit=PRODUCT_LETTERS)
@@ -64,13 +63,6 @@ def clear_caches() -> None:
     _CACHE_T.clear()
     _CACHE_O.clear()
     clear_memos()
-
-
-def _require_h1(word: str) -> str:
-    validate_word(word)
-    if word and not word.endswith("y"):
-        raise NotInH1Error(f"word {word!r} ends in x; products need z-decomposable input")
-    return word
 
 
 def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:

@@ -36,7 +36,7 @@ from .identities import (
 )
 from .interpolation import s_t
 from .products import stuffle_classical, stuffle_combinatorial, stuffle_o, stuffle_t
-from .words import Element, _check_index, index_of_word, is_admissible, weight, word_of_index
+from .words import Element, index_of_word, is_admissible, weight, word_of_index
 from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
 
@@ -106,7 +106,6 @@ def admissible_indices(max_weight: int, max_depth: int) -> Iterator[tuple[int, .
 
 
 def _product(left: Sequence[int], right: Sequence[int]) -> Element:
-    _check_index((*left, *right))  # once over both sides: this runs on every check
     return stuffle_t(word_of_index(left), word_of_index(right))
 
 

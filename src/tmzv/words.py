@@ -19,6 +19,11 @@ instead of copied.
 The per-term loops read each coefficient's products, sums, constants at a
 point and JSON strings from the coefficient tables of :mod:`tmzv.exact`;
 ``TPoly`` arithmetic is the plain reference, run only when a table misses.
+
+This module is the one owner of the index and word checks: ``_check_index``
+(positive integer parts of at most ``MAX_PART``), ``validate_word`` (letters
+x and y) and ``_require_h1`` (no final x). Every entry point that takes an
+index or a word reaches one of them; its callers do not check it first.
 """
 
 from __future__ import annotations
@@ -29,31 +34,11 @@ from typing import Collection, Iterable, ItemsView, Mapping
 from .errors import BadParamsError, NotInH1Error
 from .exact import AT, JSON, PLUS, POLY_ONE, TIMES, TPoly
 
-Word = str
-
 # The largest index part, and so the most symbols one letter z_k may have.
 MAX_PART = 10**6
-
-
-def z_word(k: int) -> str:
-    """The word z_k = x^(k-1) y; :class:`BadParamsError` past ``MAX_PART``."""
-    if k < 1:
-        raise ValueError(f"z subscript must be positive, got {k}")
-    if k > MAX_PART:
-        raise BadParamsError(f"index parts must be at most MAX_PART = {MAX_PART:,}")
-    return "x" * (k - 1) + "y"
-
-
-def validate_word(word: str) -> str:
-    for ch in word:
-        if ch not in ("x", "y"):
-            raise ValueError(f"letter {ch!r} not in alphabet {{x, y}}")
-    return word
-
-
-def word_of_index(parts: Iterable[int]) -> str:
-    """Concatenation z_{k_1} ... z_{k_n}; the empty index gives the empty word."""
-    return "".join(z_word(k) for k in parts)
+# The most letters y of a word the interpolation maps expand (into up to 2^d
+# words), and the most parts of an index the boxes enumerate (2^(d-1) ways).
+MAX_BOXES_DEPTH = 16
 
 
 def _check_index(parts: Iterable[int]) -> tuple[int, ...]:
@@ -68,24 +53,35 @@ def _check_index(parts: Iterable[int]) -> tuple[int, ...]:
     return idx
 
 
-def index_of_word(word: str) -> tuple[int, ...]:
-    """Split a y-ended (or empty) word back into its index.
+def word_of_index(parts: Iterable[int]) -> str:
+    """Concatenation z_{k_1} ... z_{k_n}; the empty index gives the empty word."""
+    return "".join(["x" * (k - 1) + "y" for k in _check_index(parts)])
 
-    Raises :class:`NotInH1Error` for words ending in x, which have no such
-    decomposition.
-    """
+
+def z_word(k: int) -> str:
+    """The word z_k = x^(k-1) y."""
+    return word_of_index((k,))
+
+
+def validate_word(word: str) -> str:
+    """The word; :class:`BadParamsError` naming its first letter outside {x, y}."""
+    rest = word.lstrip("xy")
+    if rest:
+        raise BadParamsError(f"letter {rest[0]!r} not in alphabet {{x, y}}")
+    return word
+
+
+def _require_h1(word: str) -> str:
+    """The word, checked by :func:`validate_word`; :class:`NotInH1Error` if it ends in x."""
     validate_word(word)
-    if word and not word.endswith("y"):
-        raise NotInH1Error(f"word {word!r} ends in x")
-    parts = []
-    run = 0
-    for ch in word:
-        if ch == "x":
-            run += 1
-        else:
-            parts.append(run + 1)
-            run = 0
-    return tuple(parts)
+    if word[-1:] == "x":
+        raise NotInH1Error(f"word {word!r} ends in x, so it is no product of z letters")
+    return word
+
+
+def index_of_word(word: str) -> tuple[int, ...]:
+    """Split a y-ended (or empty) word back into its index, checked by :func:`_require_h1`."""
+    return tuple([len(run) + 1 for run in _require_h1(word).split("y")[:-1]])
 
 
 def weight(parts: Iterable[int]) -> int:

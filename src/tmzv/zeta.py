@@ -36,13 +36,15 @@ it is bounded by holding one cutoff rather than by evicting. An
 ``clear_cache`` empties both memos and the coefficient tables and drops the
 work set; every evaluator is pure.
 
-A cutoff or index part that is not an integer, a cutoff above ``MAX_CUTOFF``
-and a boxes index deeper than ``MAX_BOXES_DEPTH`` are refused with
-:class:`BadParamsError`.
+A cutoff that is not an integer or is above ``MAX_CUTOFF``, a boxes index of
+more than ``MAX_BOXES_DEPTH`` parts and a t0 at which ``zeta_t_boxes`` or
+``z_t_eval`` leaves the float range are refused with :class:`BadParamsError`;
+index parts and words are checked by :mod:`tmzv.words`.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,17 +53,13 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import BadParamsError, DivergentError, NotInH0Error
 from .exact import FLOATS, Memo, clear_memos
 from .interpolation import s_t
-from .words import Element, _check_index, index_of_word, is_admissible
+from .words import MAX_BOXES_DEPTH, Element, _check_index, index_of_word, is_admissible
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-# Input limits: a cutoff costs O(cutoff) floats per pass, and the contraction
-# enumeration sums 2^(depth-1) truncated values, so each part past the limit
-# doubles its time.
-MAX_CUTOFF = 10**7
-MAX_BOXES_DEPTH = 16
+MAX_CUTOFF = 10**7  # a cutoff costs O(cutoff) floats per pass
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,12 @@ def _require_admissible(idx: Iterable[int]) -> tuple[int, ...]:
     if not is_admissible(parts):
         raise DivergentError(f"index {parts} is not admissible (needs k_1 >= 2, all parts >= 1)")
     return _check_index(parts)
+
+
+def _in_range(total: float, t0: float) -> float:
+    if not math.isfinite(total):
+        raise BadParamsError(f"t value {t0!r} overflows the float range")
+    return total
 
 
 # The exponents whose m^-k arrays the work set keeps: 1,938 of the 2,934 parts
@@ -193,25 +197,28 @@ def zeta_t_boxes(idx: Iterable[int], cfg: EvalConfig) -> float:
 
     Every way of replacing commas of (k_1, ..., k_n) by plus signs yields a
     contracted index p evaluated as a plain truncated sum, weighted by
-    t0^(n - dep(p)). An index of more than ``MAX_BOXES_DEPTH`` parts raises
-    :class:`BadParamsError`.
+    t0^(n - dep(p)). An index of more than ``MAX_BOXES_DEPTH`` parts, and a
+    t0 at which the sum leaves the float range, raise :class:`BadParamsError`.
     """
     parts = _require_admissible(idx)
     n = len(parts)
     if n > MAX_BOXES_DEPTH:
         raise BadParamsError(f"boxes take at most MAX_BOXES_DEPTH = {MAX_BOXES_DEPTH} parts, got {n}")
     total = 0.0
-    for mask in range(1 << (n - 1)):
-        contracted = [parts[0]]
-        merges = 0
-        for gap in range(n - 1):
-            if mask >> gap & 1:
-                contracted[-1] += parts[gap + 1]
-                merges += 1
-            else:
-                contracted.append(parts[gap + 1])
-        total += cfg.t0 ** merges * _truncated(tuple(contracted), cfg.cutoff, True)
-    return total
+    try:
+        for mask in range(1 << (n - 1)):
+            contracted = [parts[0]]
+            merges = 0
+            for gap in range(n - 1):
+                if mask >> gap & 1:
+                    contracted[-1] += parts[gap + 1]
+                    merges += 1
+                else:
+                    contracted.append(parts[gap + 1])
+            total += cfg.t0 ** merges * _truncated(tuple(contracted), cfg.cutoff, True)
+    except OverflowError:  # a power of t0 past the float range
+        total = math.inf
+    return _in_range(total, cfg.t0)
 
 
 # A compiled image: one term per word in ``sorted_items`` order, holding its
@@ -237,8 +244,9 @@ def z_t_eval(a: str | Element, cfg: EvalConfig) -> float:
     """Interpolated evaluation through the last-letter-fixed map.
 
     Every word of the mapped element must be empty or admissible (start x,
-    end y); otherwise :class:`NotInH0Error` is raised. A word's compiled image
-    is memoized; an Element is compiled on each call.
+    end y); otherwise :class:`NotInH0Error` is raised. A t0 at which the sum
+    leaves the float range raises :class:`BadParamsError`. A word's compiled
+    image is memoized; an Element is compiled on each call.
     """
     compiled = _compiled_word[a] if isinstance(a, str) else _compile(s_t(a))
     t0, cutoff = cfg.t0, cfg.cutoff
@@ -248,4 +256,4 @@ def z_t_eval(a: str | Element, cfg: EvalConfig) -> float:
         for f in fs:
             value = value * t0 + f
         total += value if parts is None else value * _truncated(parts, cutoff, True)
-    return total
+    return _in_range(total, t0)

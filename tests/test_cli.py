@@ -284,6 +284,11 @@ class TestUsageErrors:
             (["verify", "head-tail", "--params", f"head=2,p=1,k={NINES},m=1"], "MAX_PART = 1,000,000"),
             (["verify", "gaussian", "--params", f"l={NINES}"], "MAX_PART = 1,000,000"),
             (["verify", "factorial", "--params", f"k={10**30}"], "MAX_PART = 1,000,000"),
+            (["st", "--word", "xy" * 17], "MAX_BOXES_DEPTH = 16"),
+            (
+                ["zeta-t", "--index", "2" + ",1" * 16, "--t", "0.5", "--cutoff", "10", "--method", "st"],
+                "MAX_BOXES_DEPTH = 16",
+            ),
         ],
     )
     def test_exit_2_with_one_line(self, capsys, argv, needle):
