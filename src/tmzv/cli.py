@@ -70,13 +70,10 @@ def _parse_index(text: str) -> tuple[int, ...]:
     s = text.strip()
     if not s:
         return ()
-    parts = []
-    for piece in s.split(","):
-        part = _ascii_int(piece)
-        if part is None or part < 1:
-            raise UsageError(f"malformed index {text!r}: parts must be positive integers")
-        parts.append(part)
-    return tuple(parts)
+    parts = tuple(map(_ascii_int, s.split(",")))
+    if None in parts:  # a part below 1 is for its command's check to refuse
+        raise UsageError(f"malformed index {text!r}: parts must be positive integers")
+    return parts
 
 
 def _parse_t(text: str) -> Fraction:

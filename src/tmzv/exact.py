@@ -19,9 +19,8 @@ stored with ``put``, and a store that would take the weight a table holds
 past its ``limit`` first empties the table. Every coefficient the t-stuffle
 product builds is a sum of products of (1 - 2t) and (t^2 - t), so the
 kernel meets few distinct ones: what it computes once per coefficient lives
-in the process-wide ``Memo`` tables at the end of this module, keyed by
-``TPoly.coeffs``, which normal form makes equal exactly when the
-polynomials are. They are the one fast path: ``TPoly`` arithmetic is the
+in the process-wide ``Memo`` tables at the end of this module, keyed by the
+polynomial itself. They are the one fast path: ``TPoly`` arithmetic is the
 plain reference, one loop per operation, and the kernel runs it only when a
 table misses. A table holds at most ``MEMO_LIMIT`` entries; the rows of
 ``TIMES`` and ``AT`` are tables too, so each of those two holds at most
@@ -57,23 +56,28 @@ def _canon(c: Fraction | int) -> Fraction | int:
     return q.numerator if q.denominator == 1 else q
 
 
-class TPoly:
-    """Dense univariate polynomial in t over the rationals.
+class TPoly(tuple):
+    """Dense univariate polynomial in t over the rationals, as the tuple of
+    its coefficients: ``self[d]`` is the coefficient of t^d.
 
-    ``coeffs[d]`` is the coefficient of t^d; trailing zeros are stripped, so
-    the zero polynomial stores an empty tuple and ``degree`` is
-    ``len(coeffs) - 1`` for everything else. Each coefficient is stored in
-    normal form, a plain ``int`` when integral and a ``Fraction`` with
-    denominator above 1 otherwise, whatever the caller passed in.
+    Trailing zeros are stripped, so the zero polynomial is the empty tuple.
+    Each coefficient is in normal form, a plain ``int`` when integral and a
+    ``Fraction`` with denominator above 1 otherwise, whatever the caller
+    passed in. So two polynomials are equal exactly when their tuples are:
+    equality, hash and truth are the tuple's. From ``tuple`` it also inherits
+    ``len``, iteration, ``==`` with an equal plain tuple and ``tuple + TPoly``
+    concatenating; the package uses none of these as polynomial operations.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
+    def __new__(cls, coeffs: Iterable[Fraction | int] = ()) -> "TPoly":
         cs = [c if type(c) is int else _canon(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction | int, ...] = tuple(cs)
+        return super().__new__(cls, cs)
+
+    coeffs = property(tuple)  # a plain-tuple copy, for callers
 
     @classmethod
     def const(cls, c: Fraction | int) -> "TPoly":
@@ -81,20 +85,17 @@ class TPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return len(self) - 1
 
     def __add__(self, other: "TPoly") -> "TPoly":
         if not isinstance(other, TPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self, other
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -103,7 +104,7 @@ class TPoly:
         return TPoly(out)
 
     def __neg__(self) -> "TPoly":
-        return TPoly(-c for c in self.coeffs)
+        return TPoly(-c for c in self)
 
     def __sub__(self, other: "TPoly") -> "TPoly":
         if not isinstance(other, TPoly):
@@ -112,13 +113,13 @@ class TPoly:
 
     def __mul__(self, other: "TPoly | Fraction | int") -> "TPoly":
         if isinstance(other, TPoly):
-            b = other.coeffs
+            b = other
         elif isinstance(other, (Fraction, int)):
             b = (other,)  # a scalar is a constant polynomial
         else:
             return NotImplemented
-        out = [0] * (len(self.coeffs) + len(b) - 1)
-        for i, x in enumerate(self.coeffs):
+        out = [0] * (len(self) + len(b) - 1)
+        for i, x in enumerate(self):
             for j, y in enumerate(b):
                 out[i + j] += x * y
         return TPoly(out)
@@ -133,27 +134,19 @@ class TPoly:
             out = out * self
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def eval(self, t0: Fraction | int) -> Fraction | int:
         """Exact Horner evaluation at a rational point p/q, in normal form. The
         loop runs on the numerator, with powers of q as the scale, so that int
         coefficients make no ``Fraction`` until the one that closes it."""
         p, q = t0.numerator, t0.denominator
         acc, scale = 0, 1
-        for c in reversed(self.coeffs):
+        for c in reversed(self):
             acc, scale = acc * p + c * scale, scale * q
         return _canon(Fraction(acc * q, scale))
 
     def to_json(self) -> list[str]:
         """Coefficients as "num/den" strings, ascending powers of t."""
-        return [format_rational(c) for c in self.coeffs]
+        return [format_rational(c) for c in self]
 
     @classmethod
     def from_json(cls, items: Iterable[str]) -> "TPoly":
@@ -163,7 +156,7 @@ class TPoly:
         if self.is_zero:
             return "0"
         pieces = []
-        for d, c in enumerate(self.coeffs):
+        for d, c in enumerate(self):
             if c == 0:
                 continue
             mag = abs(c)
@@ -179,7 +172,7 @@ class TPoly:
         return " ".join(pieces)
 
     def __repr__(self) -> str:
-        return f"TPoly({self.coeffs!r})"
+        return f"TPoly({tuple(self)!r})"
 
 
 POLY_ZERO = TPoly()

@@ -28,7 +28,7 @@ def _sigma_word(word: str, c: TPoly) -> dict[str, TPoly]:
     # Each y independently stays y or becomes x with factor c, so every
     # expanded word is reached along exactly one path: no accumulation needed.
     pairs: dict[str, TPoly] = {"": POLY_ONE}
-    times_c = TIMES[c.coeffs]  # q.coeffs -> c * q
+    times_c = TIMES[c]  # q -> c * q
     for ch in word:
         nxt: dict[str, TPoly] = {}
         if ch == "x":
@@ -37,7 +37,7 @@ def _sigma_word(word: str, c: TPoly) -> dict[str, TPoly]:
         else:
             for w, q in pairs.items():
                 nxt[w + "y"] = q
-                scaled = times_c[q.coeffs]
+                scaled = times_c[q]
                 if not scaled.is_zero:
                     nxt[w + "x"] = scaled
         pairs = nxt

@@ -85,7 +85,7 @@ def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
     s1 = [w1[p:] for p in accumulate(map(len, z1), initial=0)]
     s2 = [w2[p:] for p in accumulate(map(len, z2), initial=0)]
     n, m = len(z1), len(z2)
-    merged, x_run = TIMES[ONE_MINUS_2T.coeffs], TIMES[T2_MINUS_T.coeffs]
+    merged, x_run = TIMES[ONE_MINUS_2T], TIMES[T2_MINUS_T]
     below = [{v: POLY_ONE} for v in s2]  # row n: the state (n, j) is the word s2[j]
     for i in range(n - 1, -1, -1):
         zk, u = z1[i], s1[i]
@@ -104,13 +104,13 @@ def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
                 terms.update({zl + w: coeff for w, coeff in b.items()})
             else:  # the one case where two blocks share words
                 ab = a | b
-                ab.update({w: PLUS[a[w].coeffs, b[w].coeffs] for w in a.keys() & b.keys()})
+                ab.update({w: PLUS[a[w], b[w]] for w in a.keys() & b.keys()})
                 terms = {zk + w: coeff for w, coeff in ab.items()}
             xs = "x" * (len(zk) + len(zl))
             zkl = xs[1:] + "y"
-            terms.update({zkl + w: merged[coeff.coeffs] for w, coeff in c.items()})
+            terms.update({zkl + w: merged[coeff] for w, coeff in c.items()})
             if open_ or i + 1 < n or j + 1 < m:
-                terms.update({xs + w: x_run[coeff.coeffs] for w, coeff in c.items()})
+                terms.update({xs + w: x_run[coeff] for w, coeff in c.items()})
             row[j] = terms
             hit = cache.put(state, Element._unsafe(terms), len(terms) * (len(u) + len(v)))  # its letters
         below = row
@@ -121,13 +121,13 @@ def _bilinear(a: str | Element, b: str | Element, open_: bool = False) -> Elemen
     if isinstance(a, str) and isinstance(b, str):
         # a word pair returns the shared memo Element itself, with no copy
         return _stuffle_t_words(_require_h1(a), _require_h1(b), open_)
-    ea = Element.from_word(a) if isinstance(a, str) else a
-    eb = Element.from_word(b) if isinstance(b, str) else b
-    for word, _ in [*ea.items(), *eb.items()]:
+    # the terms of each side, each word checked once
+    ta, tb = ([(x, POLY_ONE)] if isinstance(x, str) else list(x.items()) for x in (a, b))
+    for word, _ in ta + tb:
         _require_h1(word)
     out: dict[str, TPoly] = {}
-    for w1, c1 in ea.items():
-        for w2, c2 in eb.items():
+    for w1, c1 in ta:
+        for w2, c2 in tb:
             # the memo entry scaled by c1 c2; the kernel skips a unit scale
             _concat_into(out, [("", c1 * c2)], _stuffle_t_words(w1, w2, open_).items())
     return Element._unsafe(out)

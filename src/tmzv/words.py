@@ -107,25 +107,25 @@ def _concat_into(out: dict[str, TPoly], left: Iterable[Term], right: Collection[
     """The concatenation kernel: ``out += left · right``, adding ``c1 * c2``
     under ``w1 + w2`` for every pair of terms and skipping the multiplication
     when a left coefficient is 1. ``right`` is walked once per left term, and
-    each product and sum of coefficients is read from ``TIMES`` and ``PLUS``.
-    It is the one accumulate path for nonzero terms: it serves the sums and
-    scalings of :class:`Element`, the builders, the oracles, the
-    interpolation maps and the bilinear extension (the product engine builds
-    its states from disjoint blocks instead). Both sides hold nonzero
-    coefficients, so only an add can cancel a word."""
+    each product and sum is read from ``TIMES`` and ``PLUS``, keyed by the
+    coefficients themselves. It is the one accumulate path for nonzero terms:
+    it serves the sums and scalings of :class:`Element`, the builders, the
+    oracles, the interpolation maps and the bilinear extension (the product
+    engine builds its states from disjoint blocks instead). Both sides hold
+    nonzero coefficients, so only an add can cancel a word."""
     get = out.get
     for w1, c1 in left:
-        unit = c1.coeffs == (1,)
-        row = TIMES[c1.coeffs]
+        unit = c1 == (1,)
+        row = TIMES[c1]
         for w2, c2 in right:
             word = w1 + w2
-            coeff = c2 if unit else row[c2.coeffs]
+            coeff = c2 if unit else row[c2]
             cur = get(word)
             if cur is None:
                 out[word] = coeff
             else:
-                coeff = PLUS[cur.coeffs, coeff.coeffs]
-                if coeff.coeffs:
+                coeff = PLUS[cur, coeff]
+                if coeff:
                     out[word] = coeff
                 else:
                     del out[word]
@@ -236,7 +236,7 @@ class Element:
         out: dict[str, TPoly] = {}
         consts = AT[t0]
         for word, coeff in self._terms.items():
-            const = consts[coeff.coeffs]
+            const = consts[coeff]
             if const:
                 out[word] = const
         return Element._unsafe(out)
@@ -252,7 +252,7 @@ class Element:
         terms = []
         for word, coeff in self.sorted_items():
             # each term gets its own list, so that no two terms alias
-            terms.append({"word": word, "coeff": JSON[coeff.coeffs][:]})
+            terms.append({"word": word, "coeff": JSON[coeff][:]})
         return {"terms": terms}
 
     @classmethod

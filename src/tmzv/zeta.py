@@ -230,7 +230,7 @@ _Compiled = tuple[tuple[tuple[float, ...], tuple[int, ...] | None], ...]
 def _compile(mapped: Element) -> _Compiled:
     terms = []
     for word, coeff in mapped.sorted_items():
-        fs = FLOATS[coeff.coeffs]
+        fs = FLOATS[coeff]
         if word and (not word.startswith("x") or not word.endswith("y")):
             raise NotInH0Error(f"word {word!r} is not admissible")
         terms.append((fs, index_of_word(word) if word else None))

@@ -64,7 +64,7 @@ class TestProduct:
     def test_malformed_index(self, capsys):
         code, _, err = run(capsys, "product", "--left", "2,0,1", "--right", "3")
         assert code == 2
-        assert "malformed" in err
+        assert "index parts must be positive integers" in err
 
 
 class TestSt:

@@ -1,5 +1,8 @@
 """Unit tests for rationals and t-polynomials."""
 
+import copy
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,8 +14,11 @@ from tmzv.exact import (
     POLY_ONE,
     POLY_T,
     POLY_ZERO,
+    PLUS,
     T2_MINUS_T,
+    TIMES,
     TPoly,
+    clear_memos,
     format_rational,
     parse_rational,
 )
@@ -220,3 +226,78 @@ class TestNormalForm:
         assert p * POLY_ONE == p
         assert p * 1 == p
         assert Fraction(1) * p == p
+
+
+class TestTupleContract:
+    """A ``TPoly`` is the tuple of its coefficients, but its operators are
+    polynomial arithmetic, never tuple repetition or concatenation."""
+
+    def test_operators_are_polynomial_arithmetic(self):
+        p = TPoly((1, 2))
+        for got, want in [
+            (p * 3, (3, 6)),
+            (3 * p, (3, 6)),
+            (p * Fraction(1, 2), (Fraction(1, 2), 1)),
+            (Fraction(1, 2) * p, (Fraction(1, 2), 1)),
+            (p + p, (2, 4)),
+            (p + TPoly((0, -2)), (1,)),
+            (-p, (-1, -2)),
+            (p - p, ()),
+            (p**2, (1, 4, 4)),
+            (p * p, (1, 4, 4)),
+        ]:
+            assert type(got) is TPoly
+            assert got.coeffs == want
+        with pytest.raises(TypeError):
+            p + (1,)
+
+    def test_inherits_tuple_length_truth_and_equality(self):
+        p = TPoly((1, Fraction(1, 2), 0))
+        assert len(p) == 2 and list(p) == [1, Fraction(1, 2)]
+        assert p == (1, Fraction(1, 2)) and hash(p) == hash((1, Fraction(1, 2)))
+        assert not POLY_ZERO and POLY_ONE
+        assert type(p.coeffs) is tuple and p.coeffs == p
+        assert (0,) + p == (0, 1, Fraction(1, 2))  # tuple + TPoly concatenates
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle(self, protocol):
+        p = TPoly((1, Fraction(-2, 3), 5))
+        back = pickle.loads(pickle.dumps(p, protocol))
+        assert type(back) is TPoly and back == p
+        assert type(pickle.loads(pickle.dumps(POLY_ZERO, protocol))) is TPoly
+
+    def test_copy_and_deepcopy(self):
+        p = TPoly((1, Fraction(-2, 3), 5))
+        for back in (copy.copy(p), copy.deepcopy(p)):
+            assert type(back) is TPoly and back == p
+
+    def test_polynomial_and_its_coeffs_share_a_table_entry(self):
+        clear_memos()
+        try:
+            row = TIMES[ONE_MINUS_2T]
+            assert TIMES[ONE_MINUS_2T.coeffs] is row
+            assert row[T2_MINUS_T] is row[T2_MINUS_T.coeffs]
+            assert len(row) == 1
+            total = PLUS[POLY_T, T2_MINUS_T]
+            assert PLUS[POLY_T.coeffs, T2_MINUS_T.coeffs] is total == TPoly((0, 0, 1))
+            assert len(PLUS) == 1
+        finally:
+            clear_memos()
+
+    def test_equal_products_compare_without_python_calls(self):
+        from tmzv.products import stuffle_t
+        from tmzv.words import Element, word_of_index
+
+        a = Element.from_json_obj(stuffle_t(word_of_index((2, 1, 2, 1)), word_of_index((3, 1, 2))).to_json_obj())
+        b = Element.from_json_obj(a.to_json_obj())
+        terms_b = dict(b.items())
+        assert len(a) > 100 and all(c is not terms_b[w] and c == terms_b[w] for w, c in a.items())
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code) if event == "call" else None)
+        try:
+            equal = a == b
+        finally:
+            sys.setprofile(None)
+        assert equal
+        assert [code.co_name for code in calls] == ["__eq__"]
+        assert calls[0] is Element.__eq__.__code__

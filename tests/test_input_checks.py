@@ -69,6 +69,36 @@ def test_z_word_of_a_nonpositive_part_names_the_index_rule():
         z_word(0)
 
 
+def count_word_checks(monkeypatch, call):
+    """The number of ``words.validate_word`` calls that ``call()`` makes."""
+    from tmzv import words
+
+    seen = []
+    check = words.validate_word
+    monkeypatch.setattr(words, "validate_word", lambda word: seen.append(word) or check(word))
+    call()
+    monkeypatch.setattr(words, "validate_word", check)
+    return len(seen)
+
+
+@pytest.mark.parametrize("op", [stuffle_t, stuffle_o])
+def test_a_product_checks_each_word_once(monkeypatch, op):
+    pair = count_word_checks(monkeypatch, lambda: op("xy", "xyy"))
+    elem, two_terms = Element.from_word("xy"), Element.from_word("xy") + Element.from_word("y")
+    assert pair == 2
+    assert count_word_checks(monkeypatch, lambda: op(elem, "xyy")) == pair
+    assert count_word_checks(monkeypatch, lambda: op(two_terms, elem)) == 3
+
+
+@pytest.mark.parametrize("op", [stuffle_t, stuffle_o])
+def test_an_element_with_a_final_x_is_refused_with_its_word(op):
+    elem = Element.from_word("xy") + Element.from_word("yxx")
+    with pytest.raises(NotInH1Error, match="word 'yxx' ends in x, so it is no product of z letters"):
+        op(elem, "y")
+    with pytest.raises(NotInH1Error, match="word 'yxx' ends in x"):
+        op("y", elem)
+
+
 def runs_reference(word):
     """The index of a y-ended word by counting each run of x."""
     parts, run = [], 0
