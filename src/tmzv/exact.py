@@ -153,7 +153,7 @@ class TPoly(tuple):
         return cls(tuple(parse_rational(s) for s in items))
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self:
             return "0"
         pieces = []
         for d, c in enumerate(self):

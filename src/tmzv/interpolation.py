@@ -38,7 +38,7 @@ def _sigma_word(word: str, c: TPoly) -> dict[str, TPoly]:
             for w, q in pairs.items():
                 nxt[w + "y"] = q
                 scaled = times_c[q]
-                if not scaled.is_zero:
+                if scaled:
                     nxt[w + "x"] = scaled
         pairs = nxt
     return pairs

@@ -171,7 +171,7 @@ class Element:
     def from_word(cls, word: str, coeff: CoeffLike = POLY_ONE) -> "Element":
         validate_word(word)
         poly = _as_poly(coeff)
-        return cls._unsafe({} if poly.is_zero else {word: poly})
+        return cls._unsafe({word: poly} if poly else {})
 
     def items(self) -> ItemsView[str, TPoly]:
         return self._terms.items()
@@ -244,16 +244,14 @@ class Element:
     def to_text(self) -> str:
         """Human-readable form: terms joined by " + ", each "(poly) word" with
         y-ended words rendered in z-notation."""
-        if self.is_zero:
+        if not self:
             return "0"
         return " + ".join(f"({coeff}) {display_word(word)}" for word, coeff in self.sorted_items())
 
     def to_json_obj(self) -> dict:
-        terms = []
-        for word, coeff in self.sorted_items():
-            # each term gets its own list, so that no two terms alias
-            terms.append({"word": word, "coeff": JSON[coeff][:]})
-        return {"terms": terms}
+        terms = self._terms
+        # each term gets its own list, so that no two terms alias
+        return {"terms": [{"word": word, "coeff": JSON[terms[word]][:]} for word in _sorted_words(terms)]}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Element":

@@ -263,13 +263,15 @@ def truncated_reference(parts, cutoff, strict):
 
 
 def work_arrays(work):
-    return (work.base, *work.kept.values(), work.prefix, work.buf)
+    sums = () if work.sums is None else (work.sums,)
+    return (work.base, *work.kept.values(), *sums, work.prefix, work.buf)
 
 
 class TestKeptPowers:
     """A miss works in one work set, kept for the last cutoff up to
-    ``_POWER_KEPT_CUTOFF`` with m^-1 and m^-2 read-only, or built for its call
-    above that; the values stay bit for bit those of fresh arrays."""
+    ``_POWER_KEPT_CUTOFF`` with m^-1, m^-2, m^-3 and the running sums of m^-1
+    read-only, or built for its call above that; the values stay bit for bit
+    those of fresh arrays."""
 
     # repeated parts >= 3 are computed into the buffer the previous part used
     INDICES = sorted(set(admissible_indices(9, 4)) | {(3, 3, 3), (4, 3, 3, 1), (10,)})
@@ -301,18 +303,50 @@ class TestKeptPowers:
                 assert zeta._work.cutoff == cutoff
         clear_cache()
 
+    def test_numeric_eval_indices_equal_the_reference_bit_for_bit(self):
+        indices = list(admissible_indices(10, 5))
+        assert len(indices) == 381
+        clear_cache()
+        for parts in indices:
+            for strict in (True, False):
+                want = truncated_reference(parts, 10_000, strict)
+                assert zeta._truncated(parts, 10_000, strict) == want, (parts, strict)
+        clear_cache()
+
+    def test_kept_arrays_replace_powers_and_running_sums(self, monkeypatch):
+        n = zeta._POWER_KEPT_CUTOFF
+        clear_cache()
+        mzv((2,), EvalConfig(n))  # builds the set
+        calls = {"power": 0, "cumsum": 0}
+
+        def counted(name, func):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np, "power", counted("power", np.power))
+        monkeypatch.setattr(np, "cumsum", counted("cumsum", np.cumsum))
+        got = zeta._truncated.__wrapped__((3, 2, 1), n, True)
+        monkeypatch.undo()
+        # the part 1 takes the kept sums, parts 2 and 3 the kept powers
+        assert calls == {"power": 0, "cumsum": 1}
+        assert got == truncated_reference((3, 2, 1), n, True)
+        clear_cache()
+
     def test_kept_floats_stay_within_the_budget(self):
-        assert 5 * zeta._POWER_KEPT_CUTOFF == 500_000
-        assert zeta._KEPT_EXPONENTS == (1, 2)
+        assert 7 * zeta._POWER_KEPT_CUTOFF == 700_000
+        assert zeta._KEPT_EXPONENTS == (1, 2, 3)
         clear_cache()
         for cutoff in (17, 100_000, 10_000, 60_000, 100_000, 1):
             zeta._truncated.cache_clear()
             for parts in ((2,), (3, 1), (2, 2, 4)):
                 mzv(parts, EvalConfig(cutoff))
                 work = zeta._work
-                assert work.cutoff == cutoff and sorted(work.kept) == [1, 2]
-                assert sum(a.size for a in work_arrays(work)) == 5 * cutoff
-                assert work.powers(1) is work.kept[1] and work.powers(2) is work.kept[2]
+                assert work.cutoff == cutoff and sorted(work.kept) == [1, 2, 3]
+                assert sum(a.size for a in work_arrays(work)) == 7 * cutoff
+                assert all(work.powers(k) is work.kept[k] for k in (1, 2, 3))
         kept = zeta._work
         mzv((2, 1), EvalConfig(zeta._POWER_KEPT_CUTOFF + 1))
         assert zeta._work is kept  # computed for its call only
@@ -322,7 +356,7 @@ class TestKeptPowers:
         clear_cache()
         mzv((2, 1), EvalConfig(100))
         work = zeta._work
-        for array in (work.base, *work.kept.values()):
+        for array in (work.base, *work.kept.values(), work.sums):
             with pytest.raises(ValueError):
                 array[0] = 1.0
         mzv_star((3, 1, 2), EvalConfig(100))
@@ -372,7 +406,7 @@ class TestKeptPowers:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert zeta._work.cutoff in cutoffs
-        assert sum(a.size for a in work_arrays(zeta._work)) == 5 * zeta._work.cutoff
+        assert sum(a.size for a in work_arrays(zeta._work)) == 7 * zeta._work.cutoff
         clear_cache()
 
 
