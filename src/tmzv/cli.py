@@ -2,14 +2,16 @@
 
 Exit codes: 0 on success / all checks pass, 1 when a verification fails, 2 on
 usage errors (malformed indices or words, non-admissible index for an
-evaluator, unknown flags, numbers past ``MAX_DIGITS``). Every usage error,
-argparse's own included, prints one ``error:`` line on stderr.
+evaluator, unknown flags, numbers past ``MAX_DIGITS``) and when stdout is
+closed before the output is written. Every usage error, argparse's own
+included, prints one ``error:`` line on stderr, and so does a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -375,11 +377,19 @@ def main(argv: list[str] | None = None) -> int:
     argv = _join_negative_t(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (UsageError, BadParamsError, DivergentError, NotInH0Error, NotInH1Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull, so
+        # the interpreter's last flush fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
         return 2
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import BadParamsError
@@ -190,7 +190,9 @@ def pivot_rhs(idx1: Iterable[int], idx2: Iterable[int], j: int) -> Element:
     (whose x-ended words are completed by what follows), letter j either
     stands alone or merges with the i-th right letter, and the suffixes are
     combined by the deformed product. Empty prefixes count as the unit; the
-    merge term is dropped at i = 0.
+    merge term is dropped at i = 0. Each word is built once from its index
+    and cut at the letter offsets, the running sums of its parts, since z_k
+    has k symbols.
     """
     i1, i2 = _check_index(idx1), _check_index(idx2)
     if not i1:
@@ -198,20 +200,19 @@ def pivot_rhs(idx1: Iterable[int], idx2: Iterable[int], j: int) -> Element:
     m, n = len(i1), len(i2)
     if not 1 <= j <= m:
         raise BadParamsError(f"need 1 <= j <= {m}, got {j}")
-    prefix1 = word_of_index(i1[: j - 1])
-    kj = i1[j - 1]
-    suffix1 = word_of_index(i1[j:])
-    zk = z_word(kj)
+    w1, w2 = word_of_index(i1), word_of_index(i2)
+    start, kj = sum(i1[: j - 1]), i1[j - 1]  # letter j of w1 is w1[start : start + kj]
+    prefix1, zk, suffix1 = w1[:start], w1[start : start + kj], w1[start + kj :]
     out: dict[str, TPoly] = {}
     previous = None  # the open product of cut i - 1
-    for i in range(n + 1):
+    for i, cut in enumerate(accumulate(i2, initial=0)):  # cut i splits w2 before its letter i
         # the left side of cut i: plain·z_k, plus merged·bracket for i >= 1
-        opened = stuffle_o(prefix1, word_of_index(i2[:i]))
+        opened = stuffle_o(prefix1, w2[:cut])
         left = {ow + zk: oc for ow, oc in opened.items()}
         if i >= 1:
             bracket = _merged("", kj + i2[i - 1], i == n and j == m)
             _concat_into(left, previous.items(), bracket)
-        _concat_into(out, left.items(), stuffle_t(suffix1, word_of_index(i2[i:])).items())
+        _concat_into(out, left.items(), stuffle_t(suffix1, w2[cut:]).items())
         previous = opened
     return Element._unsafe(out)
 

@@ -15,7 +15,8 @@ classical quasi-shuffle (stuffle) of multiple zeta values.
 patterns, and ``stuffle_classical`` is that sum restricted to single-part
 merges with coefficient 1. These two oracles are independent of the
 recursion: they fill their own table of suffix pairs and keep none of it
-between calls.
+between calls. What they keep is ``_RUNS``, each run coefficient built once
+from its closed form; ``clear_caches`` empties it with the product memos.
 
 The engine, ``_stuffle_t_words``, runs the recursion without recursing.
 Its states are the pairs (suffix of w1 from letter i, suffix of w2 from
@@ -57,11 +58,16 @@ from .words import Element, _check_index, _concat_into, _require_h1
 PRODUCT_LETTERS = 1 << 24  # letters one product memo holds before it empties itself
 _CACHE_T = Memo(limit=PRODUCT_LETTERS)
 _CACHE_O = Memo(limit=PRODUCT_LETTERS)
+# _RUNS[a, b] is the coefficient of a run of a parts merged with b parts, built
+# on first use from the closed form in the docstring of stuffle_combinatorial
+_RUNS = Memo(
+    lambda ab: ONE_MINUS_2T * T2_MINUS_T ** (ab[0] - 1) if ab[0] == ab[1] else T2_MINUS_T ** min(ab)
+)
 
 
 def clear_caches() -> None:
-    _CACHE_T.clear()
-    _CACHE_O.clear()
+    for table in (_CACHE_T, _CACHE_O, _RUNS):
+        table.clear()
     clear_memos()
 
 
@@ -190,9 +196,8 @@ def stuffle_combinatorial(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
     """
     p1, p2 = _check_index(idx1), _check_index(idx2)
     n, m = len(p1), len(p2)
-    # the coefficient of a run of a parts merged with b parts, built once
     runs = {
-        (a, b): ONE_MINUS_2T * T2_MINUS_T ** (a - 1) if a == b else T2_MINUS_T ** min(a, b)
+        (a, b): _RUNS[a, b]
         for a in range(1, n + 1)
         for b in (a - 1, a, a + 1)
         if 1 <= b <= m

@@ -19,6 +19,8 @@ instead of copied.
 The per-term loops read each coefficient's products, sums, constants at a
 point and JSON strings from the coefficient tables of :mod:`tmzv.exact`;
 ``TPoly`` arithmetic is the plain reference, run only when a table misses.
+The concatenation kernel ``_concat_into`` runs its shorter side outside, so
+its per-term row lookup is paid by the side with fewer terms.
 
 This module is the one owner of the index and word checks: ``_check_index``
 (positive integer parts of at most ``MAX_PART``), ``validate_word`` (letters
@@ -103,23 +105,28 @@ def _sorted_words(words: Iterable[str]) -> list[str]:
 Term = tuple[str, TPoly]
 
 
-def _concat_into(out: dict[str, TPoly], left: Iterable[Term], right: Collection[Term]) -> None:
+def _concat_into(out: dict[str, TPoly], left: Collection[Term], right: Collection[Term]) -> None:
     """The concatenation kernel: ``out += left · right``, adding ``c1 * c2``
-    under ``w1 + w2`` for every pair of terms and skipping the multiplication
-    when a left coefficient is 1. ``right`` is walked once per left term, and
-    each product and sum is read from ``TIMES`` and ``PLUS``, keyed by the
-    coefficients themselves. It is the one accumulate path for nonzero terms:
-    it serves the sums and scalings of :class:`Element`, the builders, the
-    oracles, the interpolation maps and the bilinear extension (the product
-    engine builds its states from disjoint blocks instead). Both sides hold
-    nonzero coefficients, so only an add can cancel a word."""
+    under ``w1 + w2`` for every pair of terms. The shorter side runs outside,
+    chosen once per call from the two lengths, so the ``TIMES`` row lookup
+    and the unit test run once per term of that side, and a unit outer
+    coefficient skips the multiplication. Each product and sum is read from
+    ``TIMES`` and ``PLUS``, keyed by the coefficients themselves; the product
+    is commutative, so either side's row serves. It is the one accumulate
+    path for nonzero terms: it serves the sums and scalings of
+    :class:`Element`, the builders, the oracles, the interpolation maps and
+    the bilinear extension (the product engine builds its states from
+    disjoint blocks instead). Both sides hold nonzero coefficients, so only
+    an add can cancel a word."""
     get = out.get
-    for w1, c1 in left:
-        unit = c1 == (1,)
-        row = TIMES[c1]
-        for w2, c2 in right:
-            word = w1 + w2
-            coeff = c2 if unit else row[c2]
+    flip = len(left) > len(right)  # then right runs outside, and its word stays second
+    outer, inner = (right, left) if flip else (left, right)
+    for wo, co in outer:
+        unit = co == (1,)
+        row = TIMES[co]
+        for wi, ci in inner:
+            word = wi + wo if flip else wo + wi
+            coeff = ci if unit else row[ci]
             cur = get(word)
             if cur is None:
                 out[word] = coeff

@@ -475,6 +475,30 @@ class TestLazyNumpy:
         assert done.returncode == 0, done.stderr
 
 
+class TestClosedStdout:
+    # each output is far past a pipe's 64 KiB buffer, so the reader closes
+    # the pipe while the command is still writing
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "all", "--max", "2", "--json"],
+            ["product", "--left", "2,1,1,1,1,1", "--right", "3,1,1,1,1,1", "--json"],
+        ],
+    )
+    def test_closed_pipe_exits_2_with_one_error_line(self, argv):
+        src = str(Path(tmzv.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tmzv", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(1) in (b"[", b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: stdout was closed before all output was written\n"
+
+
 class TestParsing:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "zeta", "--index", "2", "--bogus")

@@ -186,6 +186,16 @@ class TestPivot:
         for j in (1, 2, 3):
             assert STATEMENTS["pivot"].check(left=(2, 1, 2), right=(1, 3), j=j).passed
 
+    @pytest.mark.parametrize(
+        "left, right", [((12, 1, 7), (1000000, 3)), ((12, 1, 7), ()), ((4, 9), (1, 6, 2))]
+    )
+    def test_multi_letter_parts_are_cut_at_their_letters(self, left, right):
+        # parts above 1 put a letter's symbols at offsets other than its
+        # position, so a cut at the position instead of the offset shows here
+        want = stuffle_t(word_of_index(left), word_of_index(right))
+        for j in range(1, len(left) + 1):
+            assert pivot_rhs(left, right, j) == want
+
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
             pivot_rhs((), (2,), 1)

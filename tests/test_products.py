@@ -1,6 +1,7 @@
 """Unit tests for the deformed, open, classical, and combinatorial products."""
 
 import json
+import math
 import sys
 import threading
 from contextlib import contextmanager
@@ -567,6 +568,42 @@ class TestCombinatorial:
                 got = stuffle_combinatorial(idx1, idx2)
                 want = stuffle_t(word_of_index(idx1), word_of_index(idx2))
                 assert got == want, (idx1, idx2)
+
+
+def _x_run_power(k):
+    """(t^2 - t)^k = t^k (t - 1)^k by the binomial theorem, as coefficients."""
+    return [0] * k + [math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1)]
+
+
+class TestRunCoefficients:
+    """``products._RUNS`` keeps each merge-run coefficient of the combinatorial
+    oracle, built once from its closed form."""
+
+    def test_closed_form_up_to_six(self):
+        clear_caches()
+        for a in range(1, 7):
+            for b in range(1, 7):
+                power = _x_run_power(min(a, b) - (a == b))
+                want = TPoly(power) * ONE_MINUS_2T if a == b else TPoly(power)
+                assert products._RUNS[a, b] == want, (a, b)
+        assert products._RUNS[3, 3] == TPoly((0, 0, 1, -4, 5, -2))  # (1 - 2t)(t^2 - t)^2
+
+    def test_oracle_reads_the_table_and_clear_caches_empties_it(self):
+        clear_caches()
+        assert not products._RUNS
+        stuffle_combinatorial((1, 2, 1), (2, 2))
+        # a run of a parts with b, 1 <= a <= 3, 1 <= b <= 2, |a - b| <= 1
+        assert set(products._RUNS) == {(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)}
+        before = dict(products._RUNS)
+        stuffle_combinatorial((2, 1, 1), (1, 3))
+        assert all(products._RUNS[key] is value for key, value in before.items())  # not rebuilt
+        clear_caches()
+        assert not products._RUNS
+
+    def test_stuffle_classical_leaves_the_table_alone(self):
+        clear_caches()
+        stuffle_classical((2, 1, 3), (1, 1))
+        assert not products._RUNS
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 """Unit tests for words, indices, and Elements."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -276,3 +277,73 @@ class TestElement:
         e = Element([("xy", TPoly((1,))), ("xy", TPoly((-1,)))])
         assert e.is_zero
 
+
+def _naive_concat(out, left, right):
+    """``out + left · right`` as a dict of sums: every word's products are
+    gathered in a list and summed by ``TPoly`` arithmetic, with no table and
+    no kernel."""
+    sums = {w: [c] for w, c in out.items()}
+    for w1, c1 in left:
+        for w2, c2 in right:
+            sums.setdefault(w1 + w2, []).append(c1 * c2)
+    totals = {w: sum(cs[1:], cs[0]) for w, cs in sums.items()}
+    return {w: c for w, c in totals.items() if c}
+
+
+class TestConcatKernel:
+    """The kernel runs the shorter side outside; whichever side that is, it
+    must add exactly the naive double loop's sums, every word left-first."""
+
+    POOL = [
+        POLY_ONE, -POLY_ONE, POLY_T, ONE_MINUS_2T, T2_MINUS_T, -T2_MINUS_T,
+        TPoly((Fraction(1, 2), 3)), TPoly((0, Fraction(-2, 3))),
+    ]
+
+    def _terms(self, rng, count):
+        return [
+            ("".join(rng.choice("xy") for _ in range(rng.randrange(5))), rng.choice(self.POOL))
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unequal_lengths_both_ways_round(self, seed):
+        rng = random.Random(seed)
+        short, long_ = rng.randrange(1, 4), rng.randrange(4, 12)
+        left, right = self._terms(rng, short), self._terms(rng, long_)
+        start = dict(Element(self._terms(rng, rng.randrange(4))).items())
+        for a, b in ((left, right), (right, left)):
+            out = dict(start)
+            _concat_into(out, a, b)
+            assert out == _naive_concat(start, a, b)
+            assert all(out.values())
+
+    @pytest.mark.parametrize("outer", [POLY_ONE, POLY_T, TPoly((Fraction(-1, 2),))])
+    def test_unit_and_non_unit_outer_coefficient(self, outer):
+        many = [("", POLY_ONE), ("x", POLY_T), ("xx", ONE_MINUS_2T), ("y", TPoly((Fraction(1, 3),)))]
+        one = [("xy", outer)]
+        for a, b in ((many, one), (one, many)):
+            out = {"xy": POLY_T}  # one word the pairs hit, pre-filled
+            _concat_into(out, a, b)
+            assert out == _naive_concat({"xy": POLY_T}, a, b)
+        out = {}
+        _concat_into(out, many, one)
+        assert set(out) == {w + "xy" for w, _ in many}  # the left word first
+
+    def test_sums_cancel_to_zero_both_ways_round(self):
+        left = [("x", POLY_T), ("", ONE_MINUS_2T), ("xx", POLY_ONE)]
+        right = [("y", T2_MINUS_T)]
+        for a, b in ((left, right), (right, left)):
+            # pre-filled with the negated products, plus one word no pair hits
+            start = {w: -c for w, c in _naive_concat({}, a, b).items()}
+            out = {**start, "yy": POLY_ONE}
+            _concat_into(out, a, b)
+            assert out == {"yy": POLY_ONE}
+
+    def test_a_word_cancelled_and_built_again(self):
+        # one word cancels on the second pair and comes back on the third
+        left = [("x", POLY_ONE), ("x", -POLY_ONE), ("x", POLY_T), ("", POLY_ONE)]
+        right = [("y", POLY_ONE)]
+        for a, b in ((left, right), (right, left)):
+            out = {}
+            _concat_into(out, a, b)
+            assert out == _naive_concat({}, a, b)
