@@ -16,7 +16,8 @@ patterns, and ``stuffle_classical`` is that sum restricted to single-part
 merges with coefficient 1. These two oracles are independent of the
 recursion: they fill their own table of suffix pairs and keep none of it
 between calls. What they keep is ``_RUNS``, each run coefficient built once
-from its closed form; ``clear_caches`` empties it with the product memos.
+from its closed form; ``clear_caches`` empties it with the product memos and
+the word table of :func:`~tmzv.words.word_of_index`.
 
 The engine, ``_stuffle_t_words``, runs the recursion without recursing.
 Its states are the pairs (suffix of w1 from letter i, suffix of w2 from
@@ -53,7 +54,7 @@ from itertools import accumulate
 from typing import Iterable
 
 from .exact import ONE_MINUS_2T, PLUS, POLY_ONE, T2_MINUS_T, TIMES, Memo, TPoly, clear_memos
-from .words import Element, _check_index, _concat_into, _require_h1
+from .words import _WORDS, Element, _check_index, _concat_into, _require_h1
 
 PRODUCT_LETTERS = 1 << 24  # letters one product memo holds before it empties itself
 _CACHE_T = Memo(limit=PRODUCT_LETTERS)
@@ -66,7 +67,7 @@ _RUNS = Memo(
 
 
 def clear_caches() -> None:
-    for table in (_CACHE_T, _CACHE_O, _RUNS):
+    for table in (_CACHE_T, _CACHE_O, _RUNS, _WORDS):
         table.clear()
     clear_memos()
 

@@ -36,7 +36,7 @@ from .identities import (
 )
 from .interpolation import s_t
 from .products import stuffle_classical, stuffle_combinatorial, stuffle_o, stuffle_t
-from .words import Element, index_of_word, is_admissible, weight, word_of_index
+from .words import Element, weight, word_of_index
 from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
 
@@ -239,7 +239,7 @@ def _prop_commutativity(rng: random.Random) -> dict | None:
     # the memo serves both orders of a word pair from one entry, so the two
     # recursions are checked against each other: the deformed product is the
     # part of the open one whose words do not end in x
-    y_ended = Element((w, c) for w, c in stuffle_o(wa, wb).items() if not w.endswith("x"))
+    y_ended = Element._unsafe({w: c for w, c in stuffle_o(wa, wb).items() if w[-1:] != "x"})
     if stuffle_t(wa, wb) != y_ended:
         return {"left": list(a), "right": list(b), "product": "open"}
     forward = stuffle_combinatorial(a, b)
@@ -252,9 +252,11 @@ def _prop_admissibility(rng: random.Random) -> dict | None:
     a = _random_index(rng, 3, 4, admissible=True)
     b = _random_index(rng, 3, 4, admissible=True)
     result = stuffle_t(word_of_index(a), word_of_index(b))
-    for word in result.words():
-        if not word.endswith("y") or not is_admissible(index_of_word(word)):
-            return {"left": list(a), "right": list(b), "word": word}
+    # admissible: starts with x (a first part of at least 2) and ends in y;
+    # the witness is the first bad word in Element.words() order
+    bad = [word for word, _ in result.items() if not (word[:1] == "x" and word[-1:] == "y")]
+    if bad:
+        return {"left": list(a), "right": list(b), "word": min(bad, key=lambda w: (len(w), w))}
     return None
 
 
@@ -263,9 +265,10 @@ def _prop_weight(rng: random.Random) -> dict | None:
     b = _random_index(rng, 3, 4)
     target = weight(a) + weight(b)
     result = stuffle_t(word_of_index(a), word_of_index(b))
-    for word in result.words():
-        if weight(index_of_word(word)) != target:
-            return {"left": list(a), "right": list(b), "word": word, "want": target}
+    # a word's weight is its number of letters, as z_k has k
+    bad = [word for word, _ in result.items() if len(word) != target]
+    if bad:
+        return {"left": list(a), "right": list(b), "word": min(bad, key=lambda w: (len(w), w)), "want": target}
     return None
 
 

@@ -26,6 +26,10 @@ This module is the one owner of the index and word checks: ``_check_index``
 (positive integer parts of at most ``MAX_PART``), ``validate_word`` (letters
 x and y) and ``_require_h1`` (no final x). Every entry point that takes an
 index or a word reaches one of them; its callers do not check it first.
+``word_of_index`` spells each index once: its words live in ``_WORDS``, a
+:class:`~tmzv.exact.Memo` weighed in letters under ``WORD_LETTERS``, and
+``_check_index`` runs on a table miss, before anything is stored, so a hit
+is an index that passed it. ``products.clear_caches`` empties the table.
 """
 
 from __future__ import annotations
@@ -34,13 +38,15 @@ from fractions import Fraction
 from typing import Collection, Iterable, ItemsView, Mapping
 
 from .errors import BadParamsError, NotInH1Error
-from .exact import AT, JSON, PLUS, POLY_ONE, TIMES, TPoly
+from .exact import AT, JSON, PLUS, POLY_ONE, TIMES, Memo, TPoly
 
 # The largest index part, and so the most symbols one letter z_k may have.
 MAX_PART = 10**6
 # The most letters y of a word the interpolation maps expand (into up to 2^d
 # words), and the most parts of an index the boxes enumerate (2^(d-1) ways).
 MAX_BOXES_DEPTH = 16
+WORD_LETTERS = 1 << 20  # letters the word table holds before it empties itself
+_WORDS = Memo(limit=WORD_LETTERS)  # tuple(parts) -> word, filled by word_of_index
 
 
 def _check_index(parts: Iterable[int]) -> tuple[int, ...]:
@@ -57,7 +63,12 @@ def _check_index(parts: Iterable[int]) -> tuple[int, ...]:
 
 def word_of_index(parts: Iterable[int]) -> str:
     """Concatenation z_{k_1} ... z_{k_n}; the empty index gives the empty word."""
-    return "".join(["x" * (k - 1) + "y" for k in _check_index(parts)])
+    key = tuple(parts)
+    word = _WORDS.get(key)
+    if word is None:
+        word = "".join(["x" * (k - 1) + "y" for k in _check_index(key)])
+        _WORDS.put(key, word, len(word))
+    return word
 
 
 def z_word(k: int) -> str:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from tmzv.cli import main
+from tmzv.exact import POLY_ONE
 from tmzv.identities import VerifyReport, _compositions
+from tmzv.products import stuffle_o
 from tmzv.sweeps import STATEMENTS, SweepArgs, admissible_indices, indices_up_to, run_statement
 from tmzv.words import Element
 from tmzv.zeta import clear_cache
@@ -185,3 +187,44 @@ class TestFailurePaths:
         law = next(r for r in reports if r.statement == "properties:commutativity")
         assert not law.passed
         assert law.witness["product"] == "open"
+
+    def test_an_engine_defect_fails_properties_instead_of_raising(self, capsys, monkeypatch):
+        # the open product is what the t-stuffle engine computes when its
+        # x-run guard is always true: some product words then end in x
+        import tmzv.sweeps as sweeps
+
+        monkeypatch.setattr(sweeps, "stuffle_t", stuffle_o)
+        reports = run_statement("properties", cases=200)
+        assert [r.statement for r in reports] == [name for name, _ in sweeps._PROPERTIES]
+        law = next(r for r in reports if r.statement == "properties:admissibility")
+        assert not law.passed
+        assert law.witness["word"].endswith("x")
+        assert main(["verify", "properties", "--cases", "200"]) == 1
+        assert "FIRST FAILURE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("properties:admissibility", lambda word, n: not (word.startswith("x") and word.endswith("y"))),
+            ("properties:weight", lambda word, n: len(word) != n),
+        ],
+    )
+    def test_witness_is_the_first_bad_word_in_words_order(self, monkeypatch, name, bad):
+        # bad words of several lengths, two of them of equal length, inserted
+        # out of order: the witness is the one a scan of Element.words() meets first
+        import tmzv.sweeps as sweeps
+
+        def product(wa, wb):
+            n = len(wa) + len(wb)
+            words = ["y" * (n + 2), "xy" + "x" * n, "y" * (n + 1), "x" * (n + 1), "x" * n + "y",
+                     "yx" + "y" * n, "y" * n, "x" * n]
+            return Element._unsafe({word: POLY_ONE for word in words})
+
+        monkeypatch.setattr(sweeps, "stuffle_t", product)
+        report = next(r for r in run_statement("properties", cases=5) if r.statement == name)
+        witness = report.witness
+        n = sum(witness["left"]) + sum(witness["right"])
+        words = product("x" * n, "").words()
+        assert sum(bad(word, n) for word in words) >= 3
+        assert witness["word"] == next(word for word in words if bad(word, n))
+        assert witness["word"] == ("x" * n if name == "properties:admissibility" else "x" * (n + 1))

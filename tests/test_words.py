@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from tmzv.errors import BadParamsError, NotInH1Error
 from tmzv.exact import ONE_MINUS_2T, POLY_ONE, POLY_T, POLY_ZERO, T2_MINUS_T, TPoly
+from tmzv.products import clear_caches
 from tmzv.words import (
+    _WORDS,
     MAX_PART,
+    WORD_LETTERS,
     Element,
     _check_index,
     _concat_into,
@@ -118,6 +121,49 @@ class TestWords:
         assert display_word("") == "1"
         assert display_word("xyy") == "z2 z1"
         assert display_word("xx") == "xx"
+
+
+def _spelled(idx):
+    return "".join("x" * (k - 1) + "y" for k in idx)
+
+
+class TestWordTable:
+    """``word_of_index`` spells each index once, into a table weighed in
+    letters; a hit must give what a fresh spelling gives."""
+
+    @pytest.mark.parametrize("form", [tuple, list, iter])
+    def test_first_and_second_call_match_the_reference_join(self, form):
+        clear_caches()
+        indices = [idx for depth in range(5) for idx in product(range(1, 6), repeat=depth)]
+        for call in ("miss", "hit"):
+            for idx in indices:
+                assert word_of_index(form(idx)) == _spelled(idx), (call, idx)
+        assert len(_WORDS) == len(indices)
+
+    def test_a_refused_index_raises_on_every_call_and_is_not_stored(self):
+        clear_caches()
+        word_of_index((2, 1))
+        for idx in [(2, 0, 1), (1.5,), (MAX_PART + 1,)]:
+            for _ in range(2):
+                with pytest.raises(BadParamsError):
+                    word_of_index(idx)
+                assert idx not in _WORDS
+        assert list(_WORDS) == [(2, 1)]
+
+    def test_clear_caches_empties_the_table(self):
+        word_of_index((3, 1))
+        assert _WORDS
+        clear_caches()
+        assert not _WORDS and _WORDS.held == 0
+
+    def test_the_table_holds_its_letter_budget_plus_one_word(self):
+        clear_caches()
+        for part in range(MAX_PART - 4, MAX_PART + 1):
+            for idx in [(part,), (2, 1), (1, part - 1)]:
+                assert word_of_index(idx) == _spelled(idx)
+                held = sum(map(len, _WORDS.values()))
+                assert held == _WORDS.held <= WORD_LETTERS + MAX_PART
+        clear_caches()
 
 
 class TestElement:
