@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import BadParamsError
+from .errors import BadParamsError, NotInH0Error
 from .exact import ONE_MINUS_2T, POLY_ONE, T2_MINUS_T, TPoly
 from .products import stuffle_o, stuffle_t
 from .words import Element, _check_index, _concat_into, word_of_index, z_word
@@ -341,23 +341,21 @@ def decomposition_numeric_check(
     values against the evaluated product Element and the evaluated explicit
     expansion, all at the same cutoff. The tolerance 1e-3 is relative: the
     values may differ by 1e-3 times the largest of 1 and their magnitudes, so
-    float rounding at a large t does not read as a failure."""
+    float rounding at a large t does not read as a failure. An inadmissible
+    word from the engine or the explicit expansion fails the report, with a
+    witness naming that side and the error, in place of raising."""
     if m < 2 or u < 2 or p < 1 or n < 0 or v < 0:
         raise BadParamsError(f"need m, u >= 2, p >= 1, n, v >= 0, got {(m, u, p, n, v)}")
     w1 = word_of_index((m,) + (p,) * n)
     w2 = word_of_index((u,) + (p,) * v)
     cfg = EvalConfig(cutoff, t0)
-    values = {
-        "product": z_t_eval(w1, cfg) * z_t_eval(w2, cfg),
-        "engine": z_t_eval(stuffle_t(w1, w2), cfg),
-        "explicit": z_t_eval(closed_form_rhs(m, u, p, n, v), cfg),
-    }
+    params = {"m": m, "u": u, "p": p, "n": n, "v": v, "t0": t0, "cutoff": cutoff}
+    values = {"product": z_t_eval(w1, cfg) * z_t_eval(w2, cfg)}
+    for side, element in (("engine", stuffle_t(w1, w2)), ("explicit", closed_form_rhs(m, u, p, n, v))):
+        try:
+            values[side] = z_t_eval(element, cfg)
+        except NotInH0Error as exc:  # a defect in the engine or the builder, not a bad parameter
+            return VerifyReport("decomposition", params, False, {"side": side, "error": str(exc)})
     if not all(map(math.isfinite, values.values())):
         raise BadParamsError(f"decomposition at t0={t0!r} overflows the float range")
-    return numeric_comparison(
-        "decomposition",
-        {"m": m, "u": u, "p": p, "n": n, "v": v, "t0": t0, "cutoff": cutoff},
-        values,
-        1e-3,
-        relative=True,
-    )
+    return numeric_comparison("decomposition", params, values, 1e-3, relative=True)

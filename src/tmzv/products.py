@@ -14,10 +14,14 @@ classical quasi-shuffle (stuffle) of multiple zeta values.
 ``stuffle_combinatorial`` builds the same product as a sum over merge
 patterns, and ``stuffle_classical`` is that sum restricted to single-part
 merges with coefficient 1. These two oracles are independent of the
-recursion: they fill their own table of suffix pairs and keep none of it
-between calls. What they keep is ``_RUNS``, each run coefficient built once
-from its closed form; ``clear_caches`` empties it with the product memos and
-the word table of :func:`~tmzv.words.word_of_index`.
+recursion: each fills its own table of suffix pairs, and reads each state
+first from its own :class:`~tmzv.exact.Memo`, keyed by the ordered pair of
+suffixes and weighed in letters under ``ORACLE_LETTERS`` (2^16). A call
+stores every state it builds but the product itself: in ``verify all``
+those products hold most of the letters, and almost none is read again.
+``_RUNS`` holds each run coefficient, built once from its closed form;
+``clear_caches`` empties these tables with the product memos and the word
+table of :func:`~tmzv.words.word_of_index`.
 
 The engine, ``_stuffle_t_words``, runs the recursion without recursing.
 Its states are the pairs (suffix of w1 from letter i, suffix of w2 from
@@ -59,6 +63,9 @@ from .words import _WORDS, Element, _check_index, _concat_into, _require_h1
 PRODUCT_LETTERS = 1 << 24  # letters one product memo holds before it empties itself
 _CACHE_T = Memo(limit=PRODUCT_LETTERS)
 _CACHE_O = Memo(limit=PRODUCT_LETTERS)
+ORACLE_LETTERS = 1 << 16  # letters one oracle's state memo holds before it empties itself
+_STATES_K = Memo(limit=ORACLE_LETTERS)  # stuffle_classical's states
+_STATES_C = Memo(limit=ORACLE_LETTERS)  # stuffle_combinatorial's states
 # _RUNS[a, b] is the coefficient of a run of a parts merged with b parts, built
 # on first use from the closed form in the docstring of stuffle_combinatorial
 _RUNS = Memo(
@@ -67,7 +74,7 @@ _RUNS = Memo(
 
 
 def clear_caches() -> None:
-    for table in (_CACHE_T, _CACHE_O, _RUNS, _WORDS):
+    for table in (_CACHE_T, _CACHE_O, _STATES_K, _STATES_C, _RUNS, _WORDS):
         table.clear()
     clear_memos()
 
@@ -151,27 +158,40 @@ def stuffle_o(a: str | Element, b: str | Element) -> Element:
     return _bilinear(a, b, open_=True)
 
 
-def _merge_patterns(p1: tuple[int, ...], p2: tuple[int, ...], runs: dict[tuple[int, int], TPoly]) -> Element:
+def _merge_patterns(
+    p1: tuple[int, ...], p2: tuple[int, ...], runs: dict[tuple[int, int], TPoly], memo: Memo
+) -> Element:
     """Sum over the merge patterns of two part sequences: each letter is z of
     one part (coefficient 1) or z of the summed weight of a run of a parts of
     ``p1`` merged with b of ``p2`` (coefficient ``runs[a, b]``). State (i, j)
-    holds the patterns of the suffixes from parts i and j; states grow from
-    the ends in reverse row-major order, so each is complete when grown, and
-    are dropped once grown, so no state outlives the call and nothing recurses.
-    A letter goes in front, so the kernel skips the unit multiplications."""
+    holds the patterns of the suffixes from parts i and j. It is read from
+    ``memo`` or else pulled from the states its steps reach, one kernel call a
+    step, with the letter in front so the kernel skips the unit
+    multiplications. Rows fill from the ends, and only the rows the longest
+    run still reaches are kept, so nothing recurses."""
     n, m = len(p1), len(p2)
-    # prefix sums: the parts i-a..i-1 of p1 total s1[i] - s1[i - a]
+    # prefix sums: the parts i..i+a-1 of p1 total s1[i + a] - s1[i]
     s1, s2 = list(accumulate(p1, initial=0)), list(accumulate(p2, initial=0))
     steps = {(1, 0): POLY_ONE, (0, 1): POLY_ONE, **runs}
-    table: dict[tuple[int, int], dict[str, TPoly]] = {(n, m): {"": POLY_ONE}}
+    reach = max(a for a, _ in steps)
+    v2 = [p2[j:] for j in range(m + 1)]
+    rows: dict[int, list] = {}
     for i in range(n, -1, -1):
+        rows.pop(i + reach + 1, None)  # no step reaches that row any more
+        rows[i] = row = [None] * (m + 1)
+        u = p1[i:]
         for j in range(m, -1, -1):
-            terms = table.pop((i, j))
-            for (a, b), coeff in steps.items():
-                if i >= a and j >= b:
-                    letter = "x" * (s1[i] - s1[i - a] + s2[j] - s2[j - b] - 1) + "y"  # may pass MAX_PART
-                    _concat_into(table.setdefault((i - a, j - b), {}), [(letter, coeff)], terms.items())
-    return Element._unsafe(terms)  # (0, 0), the last state, grows into none
+            terms = memo.get((u, v2[j]))
+            if terms is None:
+                terms = {} if i < n or j < m else {"": POLY_ONE}
+                for (a, b), coeff in steps.items():
+                    if i + a <= n and j + b <= m:
+                        letter = "x" * (s1[i + a] - s1[i] + s2[j + b] - s2[j] - 1) + "y"  # may pass MAX_PART
+                        _concat_into(terms, [(letter, coeff)], rows[i + a][j + b].items())
+                if i or j:  # every state but the product itself; each word has this many letters
+                    memo.put((u, v2[j]), terms, len(terms) * (s1[n] - s1[i] + s2[m] - s2[j]))
+            row[j] = terms
+    return Element._unsafe(terms)
 
 
 def stuffle_classical(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
@@ -182,7 +202,7 @@ def stuffle_classical(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
     with coefficient 1: independent of the deformed recursion, it is the
     oracle for the t = 0 specialization.
     """
-    return _merge_patterns(_check_index(idx1), _check_index(idx2), {(1, 1): POLY_ONE})
+    return _merge_patterns(_check_index(idx1), _check_index(idx2), {(1, 1): POLY_ONE}, _STATES_K)
 
 
 def stuffle_combinatorial(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
@@ -203,4 +223,4 @@ def stuffle_combinatorial(idx1: Iterable[int], idx2: Iterable[int]) -> Element:
         for b in (a - 1, a, a + 1)
         if 1 <= b <= m
     }
-    return _merge_patterns(p1, p2, runs)
+    return _merge_patterns(p1, p2, runs, _STATES_C)

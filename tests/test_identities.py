@@ -24,7 +24,7 @@ from tmzv.identities import (
     power_product_rhs,
     recursive_rhs,
 )
-from tmzv.products import stuffle_t
+from tmzv.products import stuffle_o, stuffle_t
 from tmzv.sweeps import STATEMENTS, SweepArgs
 from tmzv.words import Element, word_of_index
 
@@ -289,6 +289,25 @@ class TestNumericDecomposition:
             identities, "closed_form_rhs", lambda *args: exact(*args).scale(Fraction(101, 100))
         )
         assert not decomposition_numeric_check(2, 2, 1, 1, 1, t0, 100).passed
+
+    @pytest.mark.parametrize("side", ["engine", "explicit"])
+    def test_an_inadmissible_word_fails_the_report_naming_its_side(self, monkeypatch, side):
+        # the open product is what the engine computes when its x-run guard is
+        # always true; an x-ended word has no truncated value
+        if side == "engine":
+            monkeypatch.setattr(identities, "stuffle_t", stuffle_o)
+        else:
+            exact = identities.closed_form_rhs
+            monkeypatch.setattr(
+                identities, "closed_form_rhs", lambda *args: exact(*args) + Element.from_word("xx")
+            )
+        report = decomposition_numeric_check(2, 2, 1, 0, 0, 0.5, 100)
+        assert not report.passed
+        assert report.params == {"m": 2, "u": 2, "p": 1, "n": 0, "v": 0, "t0": 0.5, "cutoff": 100}
+        assert report.witness["side"] == side
+        assert report.witness["error"].endswith("is not admissible")
+        with pytest.raises(BadParamsError):  # a bad parameter still raises
+            decomposition_numeric_check(1, 2, 1, 0, 0, 0.5, 100)
 
 
 class TestStructuralCheckers:

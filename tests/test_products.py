@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -415,6 +418,18 @@ class TestCoefficientTables:
             assert FLOATS[key] == (1.0, float(k))
         clear_memos()
 
+    def test_plus_forms_a_sum_once_for_both_orders(self, monkeypatch):
+        clear_memos()
+        formed = []
+        add = TPoly.__add__
+        monkeypatch.setattr(TPoly, "__add__", lambda x, y: formed.append((x, y)) or add(x, y))
+        total = PLUS[ONE_MINUS_2T, T2_MINUS_T]
+        assert PLUS[T2_MINUS_T, ONE_MINUS_2T] is total == TPoly((1, -3, 1))
+        assert len(formed) == 1 and PLUS.held == len(PLUS) == 2
+        assert PLUS[POLY_T, POLY_T] == TPoly((0, 2))  # one order, one entry
+        assert len(formed) == 2 and PLUS.held == len(PLUS) == 3
+        clear_memos()
+
     def test_concat_sums_equal_plain_arithmetic_through_a_tiny_plus(self):
         # PLUS empties itself at every other store; the sums must still be
         # those of plain TPoly arithmetic, and the cancelled word "xy" goes
@@ -606,6 +621,72 @@ class TestRunCoefficients:
         assert not products._RUNS
 
 
+def _state_letters(memo):
+    """The letters of each state a state memo holds: each word of state
+    (u, v) spells the parts of u and v."""
+    return {key: len(terms) * (sum(key[0]) + sum(key[1])) for key, terms in memo.items()}
+
+
+@pytest.mark.parametrize("oracle, table", [(stuffle_classical, "_STATES_K"), (stuffle_combinatorial, "_STATES_C")])
+class TestOracleStates:
+    """Each oracle reads its sub-states from its own bounded memo, keyed by the
+    ordered pair of suffixes."""
+
+    def test_cold_warm_and_one_letter_budget_agree(self, oracle, table, monkeypatch):
+        memo = getattr(products, table)
+        pairs = [(a, b) for a in small_indices(max_depth=3) for b in small_indices(max_depth=3)]
+        cold = {}
+        for a, b in pairs:
+            memo.clear()
+            cold[a, b] = oracle(a, b)
+            want = stuffle_t(word_of_index(a), word_of_index(b))
+            assert cold[a, b] == (want if oracle is stuffle_combinatorial else want.eval_at(Fraction(0)))
+        clear_caches()
+        for a, b in pairs:  # each call may read what the calls before it stored
+            assert oracle(a, b) == cold[a, b], (a, b)
+        monkeypatch.setattr(memo, "limit", 1)
+        memo.clear()
+        for a, b in pairs:  # a store empties the memo unless the state weighs nothing
+            assert oracle(a, b) == cold[a, b], (a, b)
+            assert memo.held <= 1 or len(memo) == 1
+        clear_caches()
+
+    def test_keys_are_the_proper_sub_states_in_side_order(self, oracle, table):
+        memo = getattr(products, table)
+        a, b = (2, 1, 3), (1, 2)
+        clear_caches()
+        oracle(a, b)
+        states = {(a[i:], b[j:]) for i in range(len(a) + 1) for j in range(len(b) + 1)}
+        assert set(memo) == states - {(a, b)}  # the product itself is not stored
+        oracle(b, a)
+        assert set(memo) == (states | {(v, u) for u, v in states}) - {(a, b), (b, a)}
+        clear_caches()
+        assert not memo and memo.held == 0
+
+    def test_the_memo_is_read_and_clear_caches_empties_it(self, oracle, table):
+        memo = getattr(products, table)
+        a, b = (2, 1), (3,)
+        clear_caches()
+        right = oracle(a, b)
+        assert ((1,), (3,)) in memo
+        memo.put(((1,), (3,)), {"xxxxxy": POLY_ONE}, 6)  # a wrong state for z_1 * z_3
+        wrong = oracle(a, b)
+        assert wrong != right and "xyxxxxxy" in wrong.words()
+        clear_caches()
+        assert oracle(a, b) == right
+
+    def test_held_letters_stay_within_the_budget_plus_one_state(self, oracle, table, monkeypatch):
+        memo = getattr(products, table)
+        clear_caches()
+        monkeypatch.setattr(memo, "limit", 100)
+        for a in small_indices(max_depth=3):
+            for b in small_indices(max_depth=3):
+                oracle(a, b)
+                letters = _state_letters(memo)
+                assert memo.held == sum(letters.values()) <= memo.limit + max(letters.values(), default=0)
+        clear_caches()
+
+
 @contextmanager
 def _stack_headroom(frames):
     """Set the recursion limit to the current stack depth plus ``frames``."""
@@ -650,6 +731,24 @@ class TestOracleInputs:
         got = stuffle_combinatorial((1,) * n, (2,))
         assert len(got) == 3600
         assert got == want
+
+    def test_deep_cases_fit_in_512_mib(self):
+        # the fill keeps only the rows its longest run still reaches; one that
+        # kept every row would need gigabytes for the first of these
+        script = (
+            "import resource\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, hard))\n"
+            "from tmzv.products import stuffle_classical, stuffle_combinatorial\n"
+            f"assert len(stuffle_classical((2,) * {self.DEPTH}, (3,))) == 2401\n"
+            f"assert len(stuffle_combinatorial((1,) * {self.DEPTH}, (2,))) == 3600\n"
+        )
+        src = str(Path(products.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_deep_word_needs_no_recursion_in_engine(self):
         # the memo keeps every suffix-pair state, about 2 n^3 letters for this

@@ -202,6 +202,21 @@ class TestFailurePaths:
         assert main(["verify", "properties", "--cases", "200"]) == 1
         assert "FIRST FAILURE" in capsys.readouterr().out
 
+    def test_an_engine_defect_fails_decomposition_instead_of_raising(self, capsys, monkeypatch):
+        # with the open product in the engine's place, decomposition meets an
+        # x-ended word in its engine side: verify all fails, with exit 1
+        import tmzv.identities as identities
+        import tmzv.sweeps as sweeps
+
+        monkeypatch.setattr(identities, "stuffle_t", stuffle_o)
+        monkeypatch.setattr(sweeps, "stuffle_t", stuffle_o)
+        assert main(["verify", "all", "--max", "2", "--json"]) == 1
+        reports = json.loads(capsys.readouterr().out)
+        failing = {r["statement"] for r in reports if not r["passed"]}
+        assert len(failing) == 10 and "decomposition" in failing
+        report = next(r for r in reports if r["statement"] == "decomposition" and not r["passed"])
+        assert report["witness"] == {"side": "engine", "error": "word 'xxxx' is not admissible"}
+
     @pytest.mark.parametrize(
         "name, bad",
         [
