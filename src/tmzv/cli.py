@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success / all checks pass, 1 when a verification fails, 2 on
 usage errors (malformed indices or words, non-admissible index for an
-evaluator, unknown flags, numbers past ``MAX_DIGITS``) and when stdout is
-closed before the output is written. Every usage error, argparse's own
-included, prints one ``error:`` line on stderr, and so does a closed stdout.
+evaluator, unknown flags, numbers past ``MAX_DIGITS``), when the memory runs
+out and when stdout is closed before the output is written. Each of these
+prints one ``error:`` line on stderr, argparse's own usage errors included.
 """
 
 from __future__ import annotations
@@ -384,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except (UsageError, BadParamsError, DivergentError, NotInH0Error, NotInH1Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the input is too large for the memory available", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout: what is still buffered goes to devnull, so

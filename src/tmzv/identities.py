@@ -344,14 +344,13 @@ def decomposition_numeric_check(
     float rounding at a large t does not read as a failure. An inadmissible
     word from the engine or the explicit expansion fails the report, with a
     witness naming that side and the error, in place of raising."""
-    if m < 2 or u < 2 or p < 1 or n < 0 or v < 0:
-        raise BadParamsError(f"need m, u >= 2, p >= 1, n, v >= 0, got {(m, u, p, n, v)}")
+    explicit = closed_form_rhs(m, u, p, n, v)  # its guard refuses the params out of range
     w1 = word_of_index((m,) + (p,) * n)
     w2 = word_of_index((u,) + (p,) * v)
     cfg = EvalConfig(cutoff, t0)
     params = {"m": m, "u": u, "p": p, "n": n, "v": v, "t0": t0, "cutoff": cutoff}
     values = {"product": z_t_eval(w1, cfg) * z_t_eval(w2, cfg)}
-    for side, element in (("engine", stuffle_t(w1, w2)), ("explicit", closed_form_rhs(m, u, p, n, v))):
+    for side, element in (("engine", stuffle_t(w1, w2)), ("explicit", explicit)):
         try:
             values[side] = z_t_eval(element, cfg)
         except NotInH0Error as exc:  # a defect in the engine or the builder, not a bad parameter

@@ -36,7 +36,7 @@ from .identities import (
 )
 from .interpolation import s_t
 from .products import stuffle_classical, stuffle_combinatorial, stuffle_o, stuffle_t
-from .words import Element, weight, word_of_index
+from .words import Element, _sorted_words, weight, word_of_index
 from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
 
@@ -248,28 +248,26 @@ def _prop_commutativity(rng: random.Random) -> dict | None:
     return None
 
 
+def _first_bad_word(a: Sequence[int], b: Sequence[int], good: Callable[[str], bool], **extra) -> dict | None:
+    """The witness naming the first word of a * b, in Element.words() order,
+    that ``good`` refuses; None when it takes them all."""
+    bad = [word for word, _ in _product(a, b).items() if not good(word)]
+    return {"left": list(a), "right": list(b), "word": _sorted_words(bad)[0], **extra} if bad else None
+
+
 def _prop_admissibility(rng: random.Random) -> dict | None:
     a = _random_index(rng, 3, 4, admissible=True)
     b = _random_index(rng, 3, 4, admissible=True)
-    result = stuffle_t(word_of_index(a), word_of_index(b))
-    # admissible: starts with x (a first part of at least 2) and ends in y;
-    # the witness is the first bad word in Element.words() order
-    bad = [word for word, _ in result.items() if not (word[:1] == "x" and word[-1:] == "y")]
-    if bad:
-        return {"left": list(a), "right": list(b), "word": min(bad, key=lambda w: (len(w), w))}
-    return None
+    # admissible: starts with x (a first part of at least 2) and ends in y
+    return _first_bad_word(a, b, lambda w: w[:1] == "x" and w[-1:] == "y")
 
 
 def _prop_weight(rng: random.Random) -> dict | None:
     a = _random_index(rng, 3, 4)
     b = _random_index(rng, 3, 4)
     target = weight(a) + weight(b)
-    result = stuffle_t(word_of_index(a), word_of_index(b))
     # a word's weight is its number of letters, as z_k has k
-    bad = [word for word, _ in result.items() if len(word) != target]
-    if bad:
-        return {"left": list(a), "right": list(b), "word": min(bad, key=lambda w: (len(w), w)), "want": target}
-    return None
+    return _first_bad_word(a, b, lambda w: len(w) == target, want=target)
 
 
 _MAP_POINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
@@ -361,11 +359,8 @@ STATEMENTS: dict[str, Statement] = {
         needs=("head", "p", "k", "m"),
     ),
     "pivot": Statement(
-        lambda left, right, j: element_comparison(
-            "pivot",
-            {"left": left, "right": right, "j": j},
-            _product(left, right),
-            pivot_rhs(left, right, j),
+        lambda **q: element_comparison(
+            "pivot", q, _product(q["left"], q["right"]), pivot_rhs(q["left"], q["right"], q["j"])
         ),
         _pivot_grid,
         needs=("left", "right"),
@@ -373,21 +368,15 @@ STATEMENTS: dict[str, Statement] = {
     ),
     "alternating": Statement(_alternating, _alternating_grid),
     "combinatorial": Statement(
-        lambda left, right: element_comparison(
-            "combinatorial",
-            {"left": left, "right": right},
-            _product(left, right),
-            stuffle_combinatorial(left, right),
+        lambda **q: element_comparison(
+            "combinatorial", q, _product(**q), stuffle_combinatorial(q["left"], q["right"])
         ),
         _pair_grid,
         needs=("left", "right"),
     ),
     "t0-reduction": Statement(
-        lambda left, right: element_comparison(
-            "t0-reduction",
-            {"left": left, "right": right},
-            _product(left, right).eval_at(Fraction(0)),
-            stuffle_classical(left, right),
+        lambda **q: element_comparison(
+            "t0-reduction", q, _product(**q).eval_at(Fraction(0)), stuffle_classical(q["left"], q["right"])
         ),
         _pair_grid,
         needs=("left", "right"),

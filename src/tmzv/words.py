@@ -19,8 +19,8 @@ instead of copied.
 The per-term loops read each coefficient's products, sums, constants at a
 point and JSON strings from the coefficient tables of :mod:`tmzv.exact`;
 ``TPoly`` arithmetic is the plain reference, run only when a table misses.
-The concatenation kernel ``_concat_into`` runs its shorter side outside, so
-its per-term row lookup is paid by the side with fewer terms.
+Terms are added in one place, the constructor's included: the concatenation
+kernel ``_concat_into``, whose per-term row lookup falls on its shorter side.
 
 This module is the one owner of the index and word checks: ``_check_index``
 (positive integer parts of at most ``MAX_PART``), ``validate_word`` (letters
@@ -124,7 +124,7 @@ def _concat_into(out: dict[str, TPoly], left: Collection[Term], right: Collectio
     coefficient skips the multiplication. Each product and sum is read from
     ``TIMES`` and ``PLUS``, keyed by the coefficients themselves; the product
     is commutative, so either side's row serves. It is the one accumulate
-    path for nonzero terms: it serves the sums and scalings of
+    path for nonzero terms: it serves the constructor, sums and scalings of
     :class:`Element`, the builders, the oracles, the interpolation maps and
     the bilinear extension (the product engine builds its states from
     disjoint blocks instead). Both sides hold nonzero coefficients, so only
@@ -163,16 +163,10 @@ class Element:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[str, CoeffLike] | Iterable[tuple[str, CoeffLike]] = ()) -> None:
-        data: dict[str, TPoly] = {}
         pairs = terms.items() if isinstance(terms, Mapping) else terms
-        for word, coeff in pairs:
-            cur, poly = data.get(validate_word(word)), _as_poly(coeff)
-            new = poly if cur is None else cur + poly
-            if new:
-                data[word] = new
-            else:
-                data.pop(word, None)
-        self._terms = data
+        checked = [(validate_word(word), _as_poly(coeff)) for word, coeff in pairs]
+        self._terms: dict[str, TPoly] = {}
+        _concat_into(self._terms, [("", POLY_ONE)], [term for term in checked if term[1]])
 
     @classmethod
     def _unsafe(cls, terms: dict[str, TPoly]) -> "Element":

@@ -475,6 +475,29 @@ class TestLazyNumpy:
         assert done.returncode == 0, done.stderr
 
 
+class TestOutOfMemory:
+    def test_memory_error_exits_2_with_one_error_line(self):
+        # the product of 40 ones by 40 ones outgrows a 512 MiB address space
+        ones = ",".join(["1"] * 40)
+        script = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, hard))\n"
+            "from tmzv.cli import main\n"
+            f"sys.exit(main(['product', '--left', '{ones}', '--right', '{ones}']))\n"
+        )
+        src = str(Path(tmzv.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+        assert "Traceback" not in done.stderr
+
+
 class TestClosedStdout:
     # each output is far past a pipe's 64 KiB buffer, so the reader closes
     # the pipe while the command is still writing

@@ -323,6 +323,39 @@ class TestElement:
         e = Element([("xy", TPoly((1,))), ("xy", TPoly((-1,)))])
         assert e.is_zero
 
+    @given(st.data())
+    def test_constructor_matches_a_plain_dict_accumulate(self, data):
+        # short words repeat; the pool holds each value's negative and the
+        # three spellings of zero, so terms vanish and sums cancel
+        pool = data.draw(coeff_pools) + [0, Fraction(0), TPoly(), 1, Fraction(-1, 2)]
+        term = st.tuples(st.text(alphabet="xy", max_size=2), st.sampled_from(pool))
+        terms = data.draw(st.lists(term, max_size=8))
+
+        def accumulate(pairs):
+            out = {}
+            for word, coeff in pairs:
+                poly = coeff if isinstance(coeff, TPoly) else TPoly.const(coeff)
+                new = out[word] + poly if word in out else poly
+                if new:
+                    out[word] = new
+                else:
+                    out.pop(word, None)
+            return out
+
+        assert dict(Element(terms).items()) == accumulate(terms)
+        mapping = dict(terms)
+        assert dict(Element(mapping).items()) == accumulate(mapping.items())
+        # every word is checked, a vanishing term's too, and the first bad
+        # word names the error
+        other = st.tuples(st.text(alphabet="xyab", max_size=3), st.sampled_from(pool))
+        mixed = data.draw(st.permutations(terms + data.draw(st.lists(other, max_size=4))))
+        first = next((w for w, _ in mixed if set(w) - {"x", "y"}), None)
+        if first is None:
+            assert dict(Element(mixed).items()) == accumulate(mixed)
+        else:
+            with pytest.raises(BadParamsError, match=f"^letter '{first.lstrip('xy')[0]}' not in"):
+                Element(mixed)
+
 
 def _naive_concat(out, left, right):
     """``out + left · right`` as a dict of sums: every word's products are
