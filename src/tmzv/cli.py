@@ -389,10 +389,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error: the input is too large for the memory available", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader closed stdout: what is still buffered goes to devnull, so
-        # the interpreter's last flush fails no more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before all output was written", file=sys.stderr)
+        # the reader closed stdout, and stderr with it if they share the pipe:
+        # what a closed stream still buffers goes to devnull, so the
+        # interpreter's last flush fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print("error: stdout was closed before all output was written", file=sys.stderr)
+        except BrokenPipeError:
+            os.dup2(devnull, sys.stderr.fileno())
         return 2
 
 

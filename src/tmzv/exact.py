@@ -24,8 +24,11 @@ polynomial itself. They are the one fast path: ``TPoly`` arithmetic is the
 plain reference, one loop per operation, and the kernel runs it only when a
 table misses. A table holds at most ``MEMO_LIMIT`` entries; the rows of
 ``TIMES`` and ``AT`` are tables too, so each of those two holds at most
-``MEMO_LIMIT * (MEMO_LIMIT + 1)``. A race between threads may form a value
-twice, or miscount a weight until the next clear, never a wrong value.
+``MEMO_LIMIT * (MEMO_LIMIT + 1)``. ``JSON`` keeps a coefficient's "num/den"
+strings as one tuple, immutable like every value the package hands out, and
+every term serialized with that coefficient shares it. A race between
+threads may form a value twice, or miscount a weight until the next clear,
+never a wrong value.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ def _plus(ab: tuple) -> TPoly:
 PLUS = Memo(_plus)  # PLUS[a, b] is a + b
 AT = Memo(lambda t0: Memo(lambda c: CONST[TPoly(c).eval(t0)]))  # AT[t0][c] is c at t0
 CONST = Memo(TPoly.const)  # one object per value
-JSON = Memo(lambda c: TPoly(c).to_json())  # callers copy the list
+JSON = Memo(lambda c: tuple(TPoly(c).to_json()))  # one shared tuple per coefficient
 FLOATS = Memo(lambda c: tuple(float(x) for x in reversed(c)))  # highest power first
 
 

@@ -262,8 +262,9 @@ class Element:
 
     def to_json_obj(self) -> dict:
         terms = self._terms
-        # each term gets its own list, so that no two terms alias
-        return {"terms": [{"word": word, "coeff": JSON[terms[word]][:]} for word in _sorted_words(terms)]}
+        # terms with equal coefficients share one tuple of strings; once the
+        # collector has untracked it, a term dict is created untracked too
+        return {"terms": [{"word": word, "coeff": JSON[terms[word]]} for word in _sorted_words(terms)]}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Element":

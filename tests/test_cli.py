@@ -498,28 +498,38 @@ class TestOutOfMemory:
         assert "Traceback" not in done.stderr
 
 
+_LONG_OUTPUTS = [
+    ["verify", "all", "--max", "2", "--json"],
+    ["product", "--left", "2,1,1,1,1,1", "--right", "3,1,1,1,1,1", "--json"],
+]
+
+
 class TestClosedStdout:
     # each output is far past a pipe's 64 KiB buffer, so the reader closes
     # the pipe while the command is still writing
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "all", "--max", "2", "--json"],
-            ["product", "--left", "2,1,1,1,1,1", "--right", "3,1,1,1,1,1", "--json"],
-        ],
-    )
-    def test_closed_pipe_exits_2_with_one_error_line(self, argv):
+    @staticmethod
+    def _start_and_close(argv, stderr):
         src = str(Path(tmzv.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "tmzv", *argv],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            [sys.executable, "-m", "tmzv", *argv], env=env, stdout=subprocess.PIPE, stderr=stderr,
         )
         assert proc.stdout.read(1) in (b"[", b"{")
         proc.stdout.close()
+        return proc
+
+    @pytest.mark.parametrize("argv", _LONG_OUTPUTS)
+    def test_closed_pipe_exits_2_with_one_error_line(self, argv):
+        proc = self._start_and_close(argv, subprocess.PIPE)
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 2
         assert err == "error: stdout was closed before all output was written\n"
+
+    @pytest.mark.parametrize("argv", _LONG_OUTPUTS)
+    def test_closed_pipe_shared_with_stderr_exits_2(self, argv):
+        # as `tmzv ... 2>&1 | head -c 1`: the error line meets the closed pipe too
+        proc = self._start_and_close(argv, subprocess.STDOUT)
+        assert proc.wait(timeout=60) == 2
 
 
 class TestParsing:
@@ -643,6 +653,21 @@ class TestGoldenOutput:
 
 
 class TestVerifyAllBytes:
+    @pytest.mark.parametrize(
+        "extra, size, digest",
+        [
+            ([], 468_292, "f8ade017076cdc2255a16e1438f74040bec8a92c9e46a01ce5c525e09feff054"),
+            (["--t=-3/4"], 348_399, "6e60361d2990bda163d31cadf1ae2202e00c9ce93972838180b348eacaf8189a"),
+        ],
+    )
+    def test_large_product_json_is_unchanged(self, capsys, extra, size, digest):
+        # 5,443 terms and 40 distinct coefficients, served as `tmzv product --json` serves them
+        argv = ["product", "--left", "1,1,4,4,4", "--right", "3,4,2,3,3", "--op", "o", "--json", *extra]
+        code, out, err = run(capsys, *argv)
+        data = out.encode()
+        assert code == 0 and err == ""
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
     def test_verify_all_json_is_unchanged(self, capsys):
         # the reports of `tmzv verify all --max 3 --json`, which every change
         # to the kernel must leave byte for byte as they are

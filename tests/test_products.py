@@ -414,7 +414,7 @@ class TestCoefficientTables:
             assert PLUS[key, (1,)] == poly + POLY_ONE
             assert AT[2][key] == TPoly.const(k + 2)
             assert AT[Fraction(1, 2)][key] is CONST[Fraction(2 * k + 1, 2)]
-            assert JSON[key] == [f"{k}/1", "1/1"]
+            assert JSON[key] == (f"{k}/1", "1/1")
             assert FLOATS[key] == (1.0, float(k))
         clear_memos()
 

@@ -1,6 +1,8 @@
 """Unit tests for words, indices, and Elements."""
 
+import gc
 import json
+import platform
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from tmzv.errors import BadParamsError, NotInH1Error
 from tmzv.exact import ONE_MINUS_2T, POLY_ONE, POLY_T, POLY_ZERO, T2_MINUS_T, TPoly
-from tmzv.products import clear_caches
+from tmzv.products import clear_caches, stuffle_o
 from tmzv.words import (
     _WORDS,
     MAX_PART,
@@ -265,13 +267,32 @@ class TestElement:
     def test_json_once_per_coefficient(self, data):
         e = Element(data.draw(pool_terms(data.draw(coeff_pools))))
         got = e.to_json_obj()
-        want = [{"word": w, "coeff": c.to_json()} for w, c in e.sorted_items()]
-        assert got == {"terms": want}
-        if got["terms"]:
-            # no two terms share a list, and no call shares one with the next
-            got["terms"][0]["coeff"].append("9/1")
-            assert got["terms"][1:] == want[1:]
-            assert e.to_json_obj() == {"terms": want}
+        want = [{"word": w, "coeff": tuple(c.to_json())} for w, c in e.sorted_items()]
+        assert got == {"terms": want}  # a tuple never equals a list
+        # terms with equal coefficients share one array, and so does the next call
+        shared = {}
+        again = e.to_json_obj()["terms"]
+        for (_, c), term, term2 in zip(e.sorted_items(), got["terms"], again):
+            assert shared.setdefault(c, term["coeff"]) is term["coeff"] is term2["coeff"]
+        # the arrays cannot be changed, and a change to the containers around
+        # them does not reach the next call
+        for term in got["terms"]:
+            with pytest.raises(TypeError):
+                term["coeff"][0] = "9/1"
+            term["word"], term["coeff"] = "yy", ("9/1",)
+        got["terms"].append({"word": "y", "coeff": ("9/1",)})
+        assert e.to_json_obj() == {"terms": want}
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython", reason="CPython's collector")
+    def test_json_term_dicts_are_untracked(self):
+        # a term dict holds a string and a shared tuple of strings: once a
+        # collection has untracked the tuple, a dict that holds it is made
+        # untracked, so the collector never walks a served product's terms
+        e = stuffle_o(word_of_index((2, 1, 1)), word_of_index((3, 1)))
+        first = e.to_json_obj()["terms"]
+        gc.collect()
+        assert len(first) > 1 and not any(gc.is_tracked(term) for term in first)
+        assert not any(gc.is_tracked(term) for term in e.to_json_obj()["terms"])
 
     def test_canonical_order_is_length_lex(self):
         e = Element([("yy", TPoly((1,))), ("y", TPoly((1,))), ("xy", TPoly((1,)))])
@@ -311,8 +332,9 @@ class TestElement:
         assert Element.from_word("").to_text() == "(1) 1"
 
     def test_json_shape(self):
-        e = Element.from_word("xyy", TPoly((1, -2)))
-        assert e.to_json_obj() == {"terms": [{"word": "xyy", "coeff": ["1/1", "-2/1"]}]}
+        got = Element.from_word("xyy", TPoly((1, -2))).to_json_obj()
+        assert got == {"terms": [{"word": "xyy", "coeff": ("1/1", "-2/1")}]}
+        assert json.dumps(got) == '{"terms": [{"word": "xyy", "coeff": ["1/1", "-2/1"]}]}'
 
     @given(elements)
     def test_json_roundtrip(self, e):
