@@ -29,7 +29,6 @@ from .identities import (
 )
 from .interpolation import s_t, sigma_t
 from .products import (
-    clear_caches,
     stuffle_classical,
     stuffle_combinatorial,
     stuffle_o,
@@ -46,5 +45,6 @@ from .words import (
     z_word,
 )
 from .zeta import EvalConfig, clear_cache, mzv, mzv_star, z_t_eval, zeta_t_boxes
+from .zeta import clear_cache as clear_caches  # one function, two names: each empties every table
 
 __version__ = "0.1.0"

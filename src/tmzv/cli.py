@@ -21,7 +21,7 @@ from .errors import BadParamsError, DivergentError, NotInH0Error, NotInH1Error
 from .identities import VerifyReport
 from .interpolation import s_t
 from .products import stuffle_classical, stuffle_o, stuffle_t
-from .sweeps import STATEMENTS, run_statement
+from .sweeps import STATEMENTS, SweepArgs, run_statement
 from .words import MAX_PART, Element, word_of_index
 from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
@@ -337,10 +337,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("statement", help="statement name or 'all'")
-    p_verify.add_argument("--max", type=_int_flag, default=3, help="size knob for exact sweeps")
+    p_verify.add_argument("--max", type=_int_flag, default=SweepArgs.max_size, help="size knob for exact sweeps")
     p_verify.add_argument("--cutoff", type=_int_flag, help="cutoff override for numeric sweeps")
-    p_verify.add_argument("--seed", type=_int_flag, default=0, help="seed for the property suites")
-    p_verify.add_argument("--cases", type=_int_flag, default=1000, help="cases per property suite")
+    p_verify.add_argument("--seed", type=_int_flag, default=SweepArgs.seed, help="seed for the property suites")
+    p_verify.add_argument("--cases", type=_int_flag, default=SweepArgs.cases, help="cases per property suite")
     p_verify.add_argument("--params", help='single instance, e.g. "m=2,u=2,p=1,n=1,v=0"')
     p_verify.add_argument("--left", help="left index for pivot/combinatorial/t0-reduction")
     p_verify.add_argument("--right", help="right index for pivot/combinatorial/t0-reduction")

@@ -218,15 +218,7 @@ class Memo(dict):
 TIMES = Memo(lambda a: Memo(lambda b: TPoly(a) * TPoly(b)))  # TIMES[a][b] is a * b
 
 
-def _plus(ab: tuple) -> TPoly:
-    """a + b, stored under (b, a) too, so the sum is formed once for both orders."""
-    total = TPoly(ab[0]) + TPoly(ab[1])
-    if ab[0] != ab[1]:
-        PLUS.put(ab[::-1], total)
-    return total
-
-
-PLUS = Memo(_plus)  # PLUS[a, b] is a + b
+PLUS = Memo(lambda ab: TPoly(ab[0]) + TPoly(ab[1]))  # PLUS[a, b] is a + b, one entry per order
 AT = Memo(lambda t0: Memo(lambda c: CONST[TPoly(c).eval(t0)]))  # AT[t0][c] is c at t0
 CONST = Memo(TPoly.const)  # one object per value
 JSON = Memo(lambda c: tuple(TPoly(c).to_json()))  # one shared tuple per coefficient

@@ -121,6 +121,11 @@ def _heads_rhs(
     return Element._unsafe(out)
 
 
+def _power_product(m: int, n: int, p: int) -> Element:
+    """z_p^m * z_p^n from the product engine, the one spelling of that pair."""
+    return stuffle_t(word_of_index((p,) * m), word_of_index((p,) * n))
+
+
 def power_product_rhs(m: int, n: int, p: int) -> Element:
     """Closed form of z_p^m * z_p^n.
 
@@ -163,9 +168,7 @@ def recursive_rhs(m: int, u: int, p: int, n: int, v: int) -> Element:
     product engine."""
     if m < 1 or u < 1 or p < 1 or n < 0 or v < 0:
         raise BadParamsError(f"need m, u, p >= 1 and n, v >= 0, got {(m, u, p, n, v)}")
-    return _heads_rhs(
-        m, u, p, n, v, lambda a, b: stuffle_t(word_of_index((p,) * a), word_of_index((p,) * b))
-    )
+    return _heads_rhs(m, u, p, n, v, lambda a, b: _power_product(a, b, p))
 
 
 def head_tail_rhs(head: int, p: int, k: int, m: int) -> Element:
@@ -177,7 +180,7 @@ def head_tail_rhs(head: int, p: int, k: int, m: int) -> Element:
     out: dict[str, TPoly] = {}
     for l in range(m + 1):
         bracket = _passed("", p, l, head, k == 0 and m == l) if l else [(z_word(head), POLY_ONE)]
-        inner = stuffle_t(word_of_index((p,) * k), word_of_index((p,) * (m - l)))
+        inner = _power_product(k, m - l, p)
         _concat_into(out, bracket, inner.items())
     return Element._unsafe(out)
 
@@ -222,7 +225,7 @@ def alternating_sum_lhs(p: int, k: int) -> Element:
         raise BadParamsError(f"need p, k >= 1, got {(p, k)}")
     total: dict[str, TPoly] = {}
     for a in range(k + 1):
-        prod = stuffle_t(word_of_index((p,) * a), word_of_index((p,) * (k - a)))
+        prod = _power_product(a, k - a, p)
         _concat_into(total, [("", TPoly.const((-1) ** a))], prod.items())
     return Element._unsafe(total)
 

@@ -2,9 +2,9 @@
 
 An entry holds the statement's check, the parameter grid of its sweep and
 the parameters a single-instance ``verify`` takes. :func:`run_statement`
-runs the check at every grid point, in a fixed parameter order. ``max_size``
-is the single size knob of the exact sweeps: at its default of 3 each sweep
-covers its full shipped range.
+builds a :class:`SweepArgs` from its keywords and runs the check at every
+grid point, in a fixed order. ``max_size`` is the single size knob of the
+exact sweeps: at its default of 3 each sweep covers its full shipped range.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .exact import TPoly
 from .identities import (
     VerifyReport,
+    _power_product,
     alternating_numeric_check,
     alternating_sum_lhs,
     alternating_sum_rhs,
@@ -42,7 +43,7 @@ from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
 
 @dataclass(frozen=True)
 class SweepArgs:
-    """The sweep knobs of ``tmzv verify``; each grid reads those it needs."""
+    """The sweep knobs of ``tmzv verify`` and their defaults; each grid reads those it needs."""
 
     max_size: int = 3
     cutoff: int | None = None
@@ -114,10 +115,6 @@ def _heads(m: int, u: int, p: int, n: int, v: int) -> Element:
     return _product((m,) + (p,) * n, (u,) + (p,) * v)
 
 
-def _powers(m: int, n: int, p: int) -> Element:
-    return _product((p,) * m, (p,) * n)
-
-
 def _head_tail(head: int, p: int, k: int, m: int) -> Element:
     return _product((head,) + (p,) * k, (p,) * m)
 
@@ -150,16 +147,6 @@ def _pivot_grid(args: SweepArgs) -> list[dict]:
 def _pair_grid(args: SweepArgs) -> list[dict]:
     pairs = [list(idx) for idx in indices_up_to(args.max_size, args.max_size, include_empty=True)]
     return _grid(left=pairs, right=pairs)
-
-
-def _alternating(p: int, k: int, at_ends: bool = False) -> VerifyReport:
-    """The signed sum of z_p^a * z_p^(k-a) against its closed form or, with
-    ``at_ends``, against its values at t = 0 and t = 1."""
-    if at_ends:
-        return alternating_t_special_check(p, k)
-    return element_comparison(
-        "alternating", {"p": p, "k": k}, alternating_sum_lhs(p, k), alternating_sum_rhs(p, k)
-    )
 
 
 def _alternating_grid(args: SweepArgs) -> list[dict]:
@@ -344,7 +331,7 @@ STATEMENTS: dict[str, Statement] = {
         needs=_HEADS,
     ),
     "power-product": Statement(
-        lambda **q: element_comparison("power-product", q, _powers(**q), power_product_rhs(**q)),
+        lambda **q: element_comparison("power-product", q, _power_product(**q), power_product_rhs(**q)),
         _power_grid,
         needs=("m", "n", "p"),
     ),
@@ -366,7 +353,14 @@ STATEMENTS: dict[str, Statement] = {
         needs=("left", "right"),
         optional={"j": 1},
     ),
-    "alternating": Statement(_alternating, _alternating_grid),
+    # the signed sum of z_p^a * z_p^(k-a) against its closed form or, with
+    # at_ends, against its values at t = 0 and t = 1
+    "alternating": Statement(
+        lambda at_ends=False, **q: alternating_t_special_check(**q) if at_ends else element_comparison(
+            "alternating", q, alternating_sum_lhs(**q), alternating_sum_rhs(**q)
+        ),
+        _alternating_grid,
+    ),
     "combinatorial": Statement(
         lambda **q: element_comparison(
             "combinatorial", q, _product(**q), stuffle_combinatorial(q["left"], q["right"])
@@ -412,13 +406,7 @@ STATEMENTS: dict[str, Statement] = {
 }
 
 
-def run_statement(
-    name: str,
-    max_size: int = 3,
-    cutoff: int | None = None,
-    seed: int = 0,
-    cases: int = 1000,
-) -> list[VerifyReport]:
+def run_statement(name: str, **knobs) -> list[VerifyReport]:
     statement = STATEMENTS[name]
-    args = SweepArgs(max_size, cutoff, seed, cases)
+    args = SweepArgs(**knobs)
     return [statement.check(**params) for params in statement.grid(args)]

@@ -29,7 +29,8 @@ index or a word reaches one of them; its callers do not check it first.
 ``word_of_index`` spells each index once: its words live in ``_WORDS``, a
 :class:`~tmzv.exact.Memo` weighed in letters under ``WORD_LETTERS``, and
 ``_check_index`` runs on a table miss, before anything is stored, so a hit
-is an index that passed it. ``products.clear_caches`` empties the table.
+is an index that passed it. ``products.clear_caches`` empties the table, and
+so does ``zeta.clear_cache``, which calls it.
 """
 
 from __future__ import annotations

@@ -38,8 +38,8 @@ workspace, not a third memo idiom: it holds no result keyed by arguments, its
 buffers are overwritten by every miss, and it is bounded by holding one
 cutoff rather than by evicting. An ``lru_cache`` would hand the same writable
 buffers to concurrent callers.
-``clear_cache`` empties both memos and the coefficient tables and drops the
-work set; every evaluator is pure.
+``clear_cache`` empties both memos, drops the work set and calls
+``products.clear_caches`` for every other table; every evaluator is pure.
 
 A cutoff that is not an integer or is above ``MAX_CUTOFF``, a boxes index of
 more than ``MAX_BOXES_DEPTH`` parts and a t0 at which ``zeta_t_boxes`` or
@@ -56,8 +56,9 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import BadParamsError, DivergentError, NotInH0Error
-from .exact import FLOATS, Memo, clear_memos
+from .exact import FLOATS, Memo
 from .interpolation import s_t
+from .products import clear_caches
 from .words import MAX_BOXES_DEPTH, Element, _check_index, index_of_word, is_admissible
 
 if TYPE_CHECKING:
@@ -192,7 +193,7 @@ def clear_cache() -> None:
     _truncated.cache_clear()
     _compiled_word.clear()
     _work = None
-    clear_memos()
+    clear_caches()
 
 
 def mzv(idx: Iterable[int], cfg: EvalConfig) -> float:

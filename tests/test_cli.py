@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmzv
-from tmzv.cli import _print_reports, main
+from tmzv.cli import _build_parser, _print_reports, main
 from tmzv.products import stuffle_t
-from tmzv.sweeps import STATEMENTS, run_statement
+from tmzv.sweeps import STATEMENTS, SweepArgs, run_statement
 from tmzv.words import Element
 from tmzv.zeta import EvalConfig, mzv
 
@@ -157,6 +157,29 @@ class TestVerify:
     def test_all_small(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--max", "1", "--cases", "25")
         assert code == 0
+
+
+class TestSweepDefaults:
+    """``SweepArgs`` holds the one set of sweep defaults: the verify flags and
+    ``run_statement`` read them, and restate none."""
+
+    def test_verify_flags_default_to_sweep_args(self):
+        args = _build_parser().parse_args(["verify", "all"])
+        want = SweepArgs()
+        assert (args.max, args.cutoff, args.seed, args.cases) == (
+            want.max_size, want.cutoff, want.seed, want.cases
+        )
+
+    def test_run_statement_defaults_are_sweep_args(self):
+        want = SweepArgs()
+        explicit = run_statement(
+            "alternating", max_size=want.max_size, cutoff=want.cutoff, seed=want.seed, cases=want.cases
+        )
+        assert run_statement("alternating") == explicit and explicit
+
+    def test_misspelt_knob_raises(self):
+        with pytest.raises(TypeError):
+            run_statement("alternating", max_sise=1)
 
 
 class TestScalarIdentityCommands:

@@ -418,21 +418,28 @@ class TestCoefficientTables:
             assert FLOATS[key] == (1.0, float(k))
         clear_memos()
 
-    def test_plus_forms_a_sum_once_for_both_orders(self, monkeypatch):
+    def test_plus_forms_each_order_once_and_both_agree(self, monkeypatch):
         clear_memos()
         formed = []
         add = TPoly.__add__
         monkeypatch.setattr(TPoly, "__add__", lambda x, y: formed.append((x, y)) or add(x, y))
         total = PLUS[ONE_MINUS_2T, T2_MINUS_T]
-        assert PLUS[T2_MINUS_T, ONE_MINUS_2T] is total == TPoly((1, -3, 1))
-        assert len(formed) == 1 and PLUS.held == len(PLUS) == 2
+        assert PLUS[ONE_MINUS_2T, T2_MINUS_T] is total == TPoly((1, -3, 1))
+        assert len(formed) == 1 and PLUS.held == len(PLUS) == 1
+        other = PLUS[T2_MINUS_T, ONE_MINUS_2T]  # the other order, formed once on its own
+        assert PLUS[T2_MINUS_T, ONE_MINUS_2T] is other == total
+        assert len(formed) == 2 and PLUS.held == len(PLUS) == 2
         assert PLUS[POLY_T, POLY_T] == TPoly((0, 2))  # one order, one entry
-        assert len(formed) == 2 and PLUS.held == len(PLUS) == 3
+        assert len(formed) == 3 and PLUS.held == len(PLUS) == 3
+        for a, b in [(ONE_MINUS_2T, T2_MINUS_T), (T2_MINUS_T, ONE_MINUS_2T), (POLY_T, POLY_T)]:
+            PLUS[a, b]
+        assert len(formed) == 3  # every later read is a hit
         clear_memos()
 
     def test_concat_sums_equal_plain_arithmetic_through_a_tiny_plus(self):
-        # PLUS empties itself at every other store; the sums must still be
-        # those of plain TPoly arithmetic, and the cancelled word "xy" goes
+        # the kernel forms 7 sums here and PLUS holds 2, so it empties itself
+        # at every other store; the sums must still be those of plain TPoly
+        # arithmetic, and the cancelled word "xy" goes
         start = {"y": TPoly((1, 1)), "xy": TPoly((0, 3, 2)), "xxy": TPoly((3,))}
         left = [("xx", POLY_T), ("", TPoly((Fraction(1, 2), 1))), ("", POLY_ONE)]
         right = [("y", TPoly((Fraction(-1, 3),))), ("xy", TPoly((0, -2))), ("xxy", TPoly((1, 4)))]
@@ -441,6 +448,9 @@ class TestCoefficientTables:
             for w2, c2 in right:
                 want[w1 + w2] = want.get(w1 + w2, POLY_ZERO) + c1 * c2
         want = {w: c for w, c in want.items() if c}
+        clear_memos()
+        _concat_into(dict(start), left, right)
+        assert len(PLUS) == 7
         limit = PLUS.limit
         PLUS.limit = 2
         try:
@@ -463,6 +473,24 @@ class TestCoefficientTables:
         assert all(TABLES.values())
         clear()
         assert not any(TABLES.values())
+
+    @pytest.mark.parametrize("name", ["clear_cache", "clear_caches"])
+    def test_each_package_clear_empties_every_table(self, name):
+        import tmzv
+
+        names = ("_CACHE_T", "_CACHE_O", "_STATES_K", "_STATES_C", "_RUNS", "_WORDS")
+        tables = [*TABLES.values(), *(getattr(products, n) for n in names), zeta._compiled_word]
+        clear_caches()
+        zeta.clear_cache()
+        ones = word_of_index((1,) * 8)
+        _json_bytes(stuffle_t(ones, ones).eval_at(Fraction(1, 2)))
+        stuffle_o(ones, ones)
+        stuffle_combinatorial((1, 2, 1), (2, 1))
+        stuffle_classical((1, 2, 1), (2, 1))
+        zeta.z_t_eval("xxy", zeta.EvalConfig(10, 0.5))
+        assert all(tables) and zeta._truncated.cache_info().currsize and zeta._work is not None
+        getattr(tmzv, name)()
+        assert not any(tables) and not zeta._truncated.cache_info().currsize and zeta._work is None
 
     def test_threads_sharing_the_tables_get_equal_results(self):
         pairs = [(a, b) for a in small_indices(2, 3, False) for b in small_indices(2, 2, False)]
