@@ -79,19 +79,24 @@ def clear_caches() -> None:
     clear_memos()
 
 
-def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
+def _stuffle_t_words(w1: str, w2: str, open_: bool = False, check: bool = False) -> Element:
     """The product of two y-ended words by the table fill of the module
-    docstring; each state it builds goes into the memo. Both callers have
-    checked the words, so an empty side returns the other word as it is."""
-    if not w1:
-        return Element._unsafe({w2: POLY_ONE})
-    if not w2:
-        return Element._unsafe({w1: POLY_ONE})
+    docstring; each state it builds goes into the memo. Every memo key is a
+    pair of words that passed :func:`~tmzv.words._require_h1`, so ``check``
+    runs it on a miss only. The words are checked by then, so an empty side
+    returns the other word as it is."""
     cache = _CACHE_O if open_ else _CACHE_T
     key = (w1, w2) if w1 <= w2 else (w2, w1)  # both products are symmetric
     hit = cache.get(key)
     if hit is not None:
         return hit
+    if check:
+        _require_h1(w1)
+        _require_h1(w2)
+    if not w1:
+        return Element._unsafe({w2: POLY_ONE})
+    if not w2:
+        return Element._unsafe({w1: POLY_ONE})
     # the z-letters of each word, and its suffixes from each letter on, the
     # last one empty
     z1 = [run + "y" for run in w1.split("y")[:-1]]
@@ -134,7 +139,7 @@ def _stuffle_t_words(w1: str, w2: str, open_: bool = False) -> Element:
 def _bilinear(a: str | Element, b: str | Element, open_: bool = False) -> Element:
     if isinstance(a, str) and isinstance(b, str):
         # a word pair returns the shared memo Element itself, with no copy
-        return _stuffle_t_words(_require_h1(a), _require_h1(b), open_)
+        return _stuffle_t_words(a, b, open_, check=True)
     # the terms of each side, each word checked once
     ta, tb = ([(x, POLY_ONE)] if isinstance(x, str) else list(x.items()) for x in (a, b))
     for word, _ in ta + tb:

@@ -22,6 +22,19 @@ indices, kept per word in the ``Memo`` ``_compiled_word`` (``MEMO_LIMIT``
 words; numeric-eval asks for 381), and a call at a new t0 only runs a
 Horner loop per term.
 
+A repeat is served from an evaluation plan, kept per (input, cutoff): the
+truncated sums a call needs at any t0. ``zeta_t_boxes`` keeps the sum of each
+contraction, in mask order, in ``_boxes_plans``, and reads the merge counts,
+shared per depth, from ``_MERGES``; ``z_t_eval`` on a word keeps the sum of
+each term of its compiled image, 1.0 for the empty word, in ``_word_plans``.
+A plan hit is one float loop with no ``_truncated`` lookup. It runs the float
+operations of a miss in the same order, and x * 1.0 is x, so every value is
+bit-identical. The boxes checks run on a plan miss only: a key in the table
+has passed them, as in ``words.word_of_index``. Each plan table is a ``Memo``
+weighed in floats under ``PLAN_FLOATS`` (2^16), and holds the lru's own float
+objects. An Element passed to ``z_t_eval`` is compiled, and its sums read, on
+every call.
+
 A miss of the truncated-sum memo allocates no array. It works in one work set
 kept for the last cutoff up to ``_POWER_KEPT_CUTOFF``: the base m = 1..cutoff,
 the read-only m^-1, m^-2 and m^-3 (the exponents in ``_KEPT_EXPONENTS``) and
@@ -38,7 +51,7 @@ workspace, not a third memo idiom: it holds no result keyed by arguments, its
 buffers are overwritten by every miss, and it is bounded by holding one
 cutoff rather than by evicting. An ``lru_cache`` would hand the same writable
 buffers to concurrent callers.
-``clear_cache`` empties both memos, drops the work set and calls
+``clear_cache`` empties every memo of the module, drops the work set and calls
 ``products.clear_caches`` for every other table; every evaluator is pure.
 
 A cutoff that is not an integer or is above ``MAX_CUTOFF``, a boxes index of
@@ -188,10 +201,22 @@ def _truncated(parts: tuple[int, ...], cutoff: int, strict: bool) -> float:
         return float(cur.sum())
 
 
+# Evaluation plans, one per (input, cutoff): the truncated sums a call at any
+# t0 needs, as the lru's own float objects, weighed in floats. A seed-1
+# numeric-eval round fills 3,441 in each table; the largest plan, of an index
+# or word of MAX_BOXES_DEPTH parts, holds 2^15.
+PLAN_FLOATS = 1 << 16  # floats one plan table holds before it empties itself
+_boxes_plans = Memo(limit=PLAN_FLOATS)  # (parts, cutoff) -> _boxes_plan(parts, cutoff)
+_word_plans = Memo(limit=PLAN_FLOATS)  # (word, cutoff) -> _word_plan(_compiled_word[word], cutoff)
+# _MERGES[n][mask] is the number of commas the mask merges at depth n
+_MERGES = Memo(lambda n: tuple(mask.bit_count() for mask in range(1 << (n - 1))))
+
+
 def clear_cache() -> None:
     global _work
     _truncated.cache_clear()
-    _compiled_word.clear()
+    for table in (_compiled_word, _boxes_plans, _word_plans, _MERGES):
+        table.clear()
     _work = None
     clear_caches()
 
@@ -207,6 +232,21 @@ def mzv_star(idx: Iterable[int], cfg: EvalConfig) -> float:
     return _truncated(_require_admissible(idx), cfg.cutoff, False)
 
 
+def _boxes_plan(parts: tuple[int, ...], cutoff: int) -> tuple[float, ...]:
+    """The truncated sum of each contraction of ``parts``, in mask order: bit
+    g of the mask replaces the comma after part g by a plus sign."""
+    values = []
+    for mask in range(1 << (len(parts) - 1)):
+        contracted = [parts[0]]
+        for gap, part in enumerate(parts[1:]):
+            if mask >> gap & 1:
+                contracted[-1] += part
+            else:
+                contracted.append(part)
+        values.append(_truncated(tuple(contracted), cutoff, True))
+    return tuple(values)
+
+
 def zeta_t_boxes(idx: Iterable[int], cfg: EvalConfig) -> float:
     """Interpolated value by direct contraction enumeration.
 
@@ -215,25 +255,23 @@ def zeta_t_boxes(idx: Iterable[int], cfg: EvalConfig) -> float:
     t0^(n - dep(p)). An index of more than ``MAX_BOXES_DEPTH`` parts, and a
     t0 at which the sum leaves the float range, raise :class:`BadParamsError`.
     """
-    parts = _require_admissible(idx)
-    n = len(parts)
-    if n > MAX_BOXES_DEPTH:
-        raise BadParamsError(f"boxes take at most MAX_BOXES_DEPTH = {MAX_BOXES_DEPTH} parts, got {n}")
+    key = tuple(idx)
+    plan = _boxes_plans.get((key, cfg.cutoff))
+    if plan is None:  # a key in the table has passed these checks
+        parts = _require_admissible(key)
+        n = len(parts)
+        if n > MAX_BOXES_DEPTH:
+            raise BadParamsError(f"boxes take at most MAX_BOXES_DEPTH = {MAX_BOXES_DEPTH} parts, got {n}")
+        plan = _boxes_plan(parts, cfg.cutoff)
+        _boxes_plans.put((parts, cfg.cutoff), plan, len(plan))
+    t0 = cfg.t0
     total = 0.0
     try:
-        for mask in range(1 << (n - 1)):
-            contracted = [parts[0]]
-            merges = 0
-            for gap in range(n - 1):
-                if mask >> gap & 1:
-                    contracted[-1] += parts[gap + 1]
-                    merges += 1
-                else:
-                    contracted.append(parts[gap + 1])
-            total += cfg.t0 ** merges * _truncated(tuple(contracted), cfg.cutoff, True)
+        for merges, value in zip(_MERGES[len(key)], plan):
+            total += t0 ** merges * value
     except OverflowError:  # a power of t0 past the float range
         total = math.inf
-    return _in_range(total, cfg.t0)
+    return _in_range(total, t0)
 
 
 # A compiled image: one term per word in ``sorted_items`` order, holding its
@@ -255,20 +293,34 @@ def _compile(mapped: Element) -> _Compiled:
 _compiled_word = Memo(lambda word: _compile(s_t(word)))  # _compiled_word[word] is its image
 
 
+def _word_plan(compiled: _Compiled, cutoff: int) -> tuple[float, ...]:
+    """The truncated sum of each term of a compiled image, in order; 1.0 for
+    the empty word."""
+    return tuple([1.0 if parts is None else _truncated(parts, cutoff, True) for _, parts in compiled])
+
+
 def z_t_eval(a: str | Element, cfg: EvalConfig) -> float:
     """Interpolated evaluation through the last-letter-fixed map.
 
     Every word of the mapped element must be empty or admissible (start x,
     end y); otherwise :class:`NotInH0Error` is raised. A t0 at which the sum
     leaves the float range raises :class:`BadParamsError`. A word's compiled
-    image is memoized; an Element is compiled on each call.
+    image and its plan at each cutoff are memoized; an Element is compiled
+    and its sums read on each call.
     """
-    compiled = _compiled_word[a] if isinstance(a, str) else _compile(s_t(a))
-    t0, cutoff = cfg.t0, cfg.cutoff
+    if isinstance(a, str):
+        compiled = _compiled_word[a]
+        plan = _word_plans.get((a, cfg.cutoff))
+        if plan is None:
+            plan = _word_plans.put((a, cfg.cutoff), _word_plan(compiled, cfg.cutoff), len(compiled))
+    else:
+        compiled = _compile(s_t(a))
+        plan = _word_plan(compiled, cfg.cutoff)
+    t0 = cfg.t0
     total = 0.0
-    for fs, parts in compiled:
+    for (fs, _), truncated in zip(compiled, plan):
         value = 0.0
         for f in fs:
             value = value * t0 + f
-        total += value if parts is None else value * _truncated(parts, cutoff, True)
+        total += value * truncated  # value * 1.0 is value, bit for bit
     return _in_range(total, t0)

@@ -83,10 +83,12 @@ def count_word_checks(monkeypatch, call):
 
 @pytest.mark.parametrize("op", [stuffle_t, stuffle_o])
 def test_a_product_checks_each_word_once(monkeypatch, op):
-    pair = count_word_checks(monkeypatch, lambda: op("xy", "xyy"))
+    zeta.clear_cache()
+    assert count_word_checks(monkeypatch, lambda: op("xy", "xyy")) == 2
+    # a memo key is a pair of words that passed the checks, so a hit makes none
+    assert count_word_checks(monkeypatch, lambda: op("xyy", "xy")) == 0
     elem, two_terms = Element.from_word("xy"), Element.from_word("xy") + Element.from_word("y")
-    assert pair == 2
-    assert count_word_checks(monkeypatch, lambda: op(elem, "xyy")) == pair
+    assert count_word_checks(monkeypatch, lambda: op(elem, "xyy")) == 2
     assert count_word_checks(monkeypatch, lambda: op(two_terms, elem)) == 3
 
 

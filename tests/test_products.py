@@ -155,6 +155,37 @@ class TestWordPairPath:
         with pytest.raises(ValueError, match="not in alphabet"):
             op(Element.from_word(""), Element._unsafe({left or right: POLY_ONE}))
 
+    @pytest.mark.parametrize(
+        "left, right, error",
+        [("xz", "xy", BadParamsError), ("xy", "xz", BadParamsError), ("yx", "xy", NotInH1Error), ("xy", "yx", NotInH1Error)],
+    )
+    def test_a_warm_memo_still_refuses_bad_words(self, op, left, right, error):
+        # a memo hit skips the checks, so a bad word must never be a key
+        clear_caches()
+        op("xy", "xy")
+        op("xy", "xxy")
+        cache = _CACHE_O if op is stuffle_o else _CACHE_T
+        for _ in range(3):
+            with pytest.raises(error):
+                op(left, right)
+        assert cache and all(not w.strip("xy") and w.endswith("y") for key in cache for w in key)
+        clear_caches()
+
+    def test_a_hit_returns_the_memo_entry_unchecked(self, op, monkeypatch):
+        clear_caches()
+        got = op("xyy", "xxyy")
+        cache = _CACHE_O if op is stuffle_o else _CACHE_T
+        assert cache["xxyy", "xyy"] is got
+
+        def refuse(word):
+            raise AssertionError(f"{word!r} checked on a memo hit")
+
+        monkeypatch.setattr(products, "_require_h1", refuse)
+        assert op("xyy", "xxyy") is got
+        assert op("xxyy", "xyy") is got
+        monkeypatch.undo()
+        clear_caches()
+
     def test_empty_side_returns_the_other_word(self, op):
         for word in ("", "y", "xy", "xxyxy"):
             assert op("", word) == Element.from_word(word)
@@ -479,7 +510,8 @@ class TestCoefficientTables:
         import tmzv
 
         names = ("_CACHE_T", "_CACHE_O", "_STATES_K", "_STATES_C", "_RUNS", "_WORDS")
-        tables = [*TABLES.values(), *(getattr(products, n) for n in names), zeta._compiled_word]
+        plans = (zeta._compiled_word, zeta._word_plans, zeta._boxes_plans, zeta._MERGES)
+        tables = [*TABLES.values(), *(getattr(products, n) for n in names), *plans]
         clear_caches()
         zeta.clear_cache()
         ones = word_of_index((1,) * 8)
@@ -488,6 +520,7 @@ class TestCoefficientTables:
         stuffle_combinatorial((1, 2, 1), (2, 1))
         stuffle_classical((1, 2, 1), (2, 1))
         zeta.z_t_eval("xxy", zeta.EvalConfig(10, 0.5))
+        zeta.zeta_t_boxes((2, 1), zeta.EvalConfig(10, 0.5))
         assert all(tables) and zeta._truncated.cache_info().currsize and zeta._work is not None
         getattr(tmzv, name)()
         assert not any(tables) and not zeta._truncated.cache_info().currsize and zeta._work is None

@@ -174,6 +174,131 @@ def mapped_reference(a, cfg):
     return total
 
 
+def boxes_reference(idx, cfg):
+    """zeta_t_boxes as it was before the plans: every contraction rebuilt
+    and its sum read through mzv on each call."""
+    parts = tuple(idx)
+    n = len(parts)
+    total = 0.0
+    for mask in range(1 << (n - 1)):
+        contracted = [parts[0]]
+        merges = 0
+        for gap in range(n - 1):
+            if mask >> gap & 1:
+                contracted[-1] += parts[gap + 1]
+                merges += 1
+            else:
+                contracted.append(parts[gap + 1])
+        total += cfg.t0 ** merges * mzv(contracted, cfg)
+    return total
+
+
+class TestPlans:
+    """A repeat is served from the plan of its (input, cutoff): bit for bit
+    the value of evaluating afresh, with no truncated-sum lookup and no
+    check, while every refusal is raised on every call."""
+
+    T0S = (0.0, 1.0, 0.5, -1.0, 0.37)
+    INDICES = list(admissible_indices(10, 5))  # numeric-eval's indices
+
+    def test_numeric_eval_indices_equal_the_references_cold_and_warm(self):
+        assert len(self.INDICES) == 381
+        for t0 in self.T0S:
+            cfg = EvalConfig(10_000, t0)
+            want = {idx: (boxes_reference(idx, cfg), mapped_reference(word_of_index(idx), cfg)) for idx in self.INDICES}
+            clear_cache()  # every plan cold at each t0, and built again after the clear
+            for _ in range(2):  # cold, then warm
+                for idx in self.INDICES:
+                    assert zeta_t_boxes(idx, cfg) == want[idx][0], (idx, t0)
+                    assert z_t_eval(word_of_index(idx), cfg) == want[idx][1], (idx, t0)
+        clear_cache()
+
+    def test_a_plan_built_at_one_t0_serves_the_others(self):
+        clear_cache()
+        for t0 in self.T0S:
+            cfg = EvalConfig(10_000, t0)
+            for idx in self.INDICES[::7]:
+                assert zeta_t_boxes(idx, cfg) == boxes_reference(idx, cfg), (idx, t0)
+                assert z_t_eval(word_of_index(idx), cfg) == mapped_reference(word_of_index(idx), cfg), (idx, t0)
+        assert len(zeta._boxes_plans) == len(zeta._word_plans) == len(self.INDICES[::7])
+        clear_cache()
+
+    def test_plans_are_kept_per_cutoff(self):
+        clear_cache()
+        for cutoff in (100, 1_000, 100):
+            cfg = EvalConfig(cutoff, 0.5)
+            assert zeta_t_boxes((3, 1, 2), cfg) == boxes_reference((3, 1, 2), cfg)
+            assert z_t_eval("xxyyxy", cfg) == mapped_reference("xxyyxy", cfg)
+        assert sorted(zeta._boxes_plans) == [((3, 1, 2), 100), ((3, 1, 2), 1_000)]
+        assert sorted(zeta._word_plans) == [("xxyyxy", 100), ("xxyyxy", 1_000)]
+        clear_cache()
+
+    def test_a_plan_holds_the_memo_floats_in_order(self):
+        clear_cache()
+        zeta_t_boxes((2, 1, 3), EvalConfig(100, 0.5))
+        z_t_eval("", EvalConfig(100, 0.5))
+        z_t_eval("xyxy", EvalConfig(100, 0.5))
+        contractions = [(2, 1, 3), (3, 3), (2, 4), (6,)]  # mask order
+        plan = zeta._boxes_plans[(2, 1, 3), 100]
+        assert all(v is zeta._truncated(c, 100, True) for v, c in zip(plan, contractions, strict=True))
+        assert zeta._MERGES[3] == (0, 1, 1, 2)
+        assert zeta._word_plans["", 100] == (1.0,)
+        terms = zeta._compiled_word["xyxy"]
+        plan = zeta._word_plans["xyxy", 100]
+        assert all(v is zeta._truncated(p, 100, True) for v, (_, p) in zip(plan, terms, strict=True))
+        clear_cache()
+
+    def test_a_warm_hit_reads_no_sum_and_runs_no_check(self, monkeypatch):
+        clear_cache()
+        cfg = EvalConfig(1_000, 0.5)
+        for idx in self.INDICES[:40]:
+            zeta_t_boxes(idx, cfg)
+            z_t_eval(word_of_index(idx), cfg)
+
+        def refuse(*args):
+            raise AssertionError(f"called with {args} on a plan hit")
+
+        # looked up by module name at call time, so a stand-in sees each call
+        monkeypatch.setattr(zeta, "_truncated", refuse)
+        monkeypatch.setattr(zeta, "_require_admissible", refuse)
+        got = {}
+        for t0 in (0.37, -1.0):
+            for idx in self.INDICES[:40]:
+                got[idx, t0] = zeta_t_boxes(idx, EvalConfig(1_000, t0)), z_t_eval(word_of_index(idx), EvalConfig(1_000, t0))
+        monkeypatch.undo()
+        for (idx, t0), (boxes, mapped) in got.items():
+            cfg = EvalConfig(1_000, t0)
+            assert boxes == boxes_reference(idx, cfg) and mapped == mapped_reference(word_of_index(idx), cfg)
+        clear_cache()
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda cfg: zeta_t_boxes((1, 2), cfg), DivergentError, "not admissible"),
+            (lambda cfg: zeta_t_boxes((2,) + (1,) * 16, cfg), BadParamsError, "MAX_BOXES_DEPTH"),
+            (lambda cfg: zeta_t_boxes((2.5, 1), cfg), BadParamsError, "integers"),
+            (lambda cfg: zeta_t_boxes((2, 1, 1), EvalConfig(cfg.cutoff, 1e300)), BadParamsError, "overflows"),
+            (lambda cfg: z_t_eval("xyyy", EvalConfig(cfg.cutoff, 1e300)), BadParamsError, "overflows"),
+            (lambda cfg: z_t_eval("yy", cfg), NotInH0Error, "'yy'"),
+        ],
+    )
+    def test_refusals_are_raised_on_every_call(self, call, error, match):
+        cfg = EvalConfig(100, 0.5)
+        clear_cache()
+        for _ in range(3):  # cold, then with every plan below warm
+            with pytest.raises(error, match=match):
+                call(cfg)
+            for idx in ((2, 1), (2, 1, 1), (2, 1, 1, 1, 1)):
+                assert zeta_t_boxes(idx, cfg) == boxes_reference(idx, cfg)
+            assert z_t_eval("xyyy", cfg) == mapped_reference("xyyy", cfg)
+        assert ((2, 1, 1), 100) in zeta._boxes_plans and ("xyyy", 100) in zeta._word_plans
+        for t0 in (0.37, -1.0):  # a later finite t0 gets the reference value
+            cfg = EvalConfig(100, t0)
+            assert zeta_t_boxes((2, 1, 1), cfg) == boxes_reference((2, 1, 1), cfg)
+            assert z_t_eval("xyyy", cfg) == mapped_reference("xyyy", cfg)
+        clear_cache()
+
+
 class TestCompiledMemo:
     """A word's image under s_t is compiled once and evaluated at each t0;
     the values stay bit for bit those of mapping on every call."""
@@ -446,9 +571,41 @@ class TestWorkSetAllocations:
 
 
 class TestBoundedMemos:
+    PLANS = (zeta._boxes_plans, zeta._word_plans)
+
     def test_every_memo_has_a_finite_bound(self):
         assert zeta._truncated.cache_info().maxsize == zeta._TRUNCATED_MAX
         assert isinstance(zeta._compiled_word, Memo) and zeta._compiled_word.limit == MEMO_LIMIT
+        assert isinstance(zeta._MERGES, Memo) and zeta._MERGES.limit == MEMO_LIMIT > zeta.MAX_BOXES_DEPTH
+        for plans in self.PLANS:
+            # the largest plan, of MAX_BOXES_DEPTH parts, fits twice
+            assert isinstance(plans, Memo) and plans.limit == zeta.PLAN_FLOATS == 2 << (zeta.MAX_BOXES_DEPTH - 1)
+
+    def test_plans_weigh_their_floats_and_clear_cache_empties_them(self):
+        clear_cache()
+        for parts in admissible_indices(6, 4):
+            zeta_t_boxes(parts, EvalConfig(100, 0.5))
+            z_t_eval(word_of_index(parts), EvalConfig(100, 0.5))
+        for plans in self.PLANS:
+            assert plans and plans.held == sum(map(len, plans.values()))
+        clear_cache()
+        for plans in self.PLANS:
+            assert not plans and plans.held == 0
+        assert not zeta._MERGES
+
+    def test_overfilled_plan_tables_stay_bounded_and_correct(self, monkeypatch):
+        clear_cache()
+        for plans in self.PLANS:
+            monkeypatch.setattr(plans, "limit", 8)
+        for t0 in (0.5, -1.0):
+            cfg = EvalConfig(100, t0)
+            for parts in admissible_indices(8, 4):  # plans of 1 to 8 floats
+                for _ in range(2):
+                    assert zeta_t_boxes(parts, cfg) == boxes_reference(parts, cfg), parts
+                    assert z_t_eval(word_of_index(parts), cfg) == mapped_reference(word_of_index(parts), cfg), parts
+                    for plans in self.PLANS:
+                        assert plans.held == sum(map(len, plans.values())) <= 8
+        clear_cache()
 
     def test_truncated_is_the_one_lru_cache(self):
         cached = [
