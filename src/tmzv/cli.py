@@ -1,5 +1,12 @@
 """Command-line front end: products, interpolation map, evaluators, sweeps.
 
+At load this module imports only the standard library and ``errors``; each
+command imports the modules it runs when it runs, so ``--help`` and
+``product`` start without the sweeps, the identities or numpy.
+``cli.run_statement`` still resolves, to ``sweeps.run_statement``, and
+``verify`` reads ``sweeps.run_statement`` at call time, so a wrapper put in
+its place in ``tmzv.sweeps`` is the one called.
+
 Exit codes: 0 on success / all checks pass, 1 when a verification fails, 2 on
 usage errors (malformed indices or words, non-admissible index for an
 evaluator, unknown flags, numbers past ``MAX_DIGITS``), when the memory runs
@@ -15,15 +22,21 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from .errors import BadParamsError, DivergentError, NotInH0Error, NotInH1Error
-from .identities import VerifyReport
-from .interpolation import s_t
-from .products import stuffle_classical, stuffle_o, stuffle_t
-from .sweeps import STATEMENTS, SweepArgs, run_statement
-from .words import MAX_PART, Element, word_of_index
-from .zeta import EvalConfig, mzv, mzv_star, z_t_eval, zeta_t_boxes
+
+if TYPE_CHECKING:
+    from .identities import VerifyReport
+    from .words import Element
+
+
+def __getattr__(name: str):
+    if name == "run_statement":
+        from .sweeps import run_statement
+
+        return run_statement
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -104,6 +117,8 @@ def _parse_t_float(text: str) -> float:
 
 
 def _parse_params(text: str) -> dict[str, int]:
+    from .words import MAX_PART
+
     out: dict[str, int] = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -142,6 +157,9 @@ def _print_value(command: str, value: float, meta: dict, as_json: bool) -> None:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
+    from .products import stuffle_classical, stuffle_o, stuffle_t
+    from .words import word_of_index
+
     left = _parse_index(args.left)
     right = _parse_index(args.right)
     if args.op == "classical":
@@ -157,11 +175,15 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_st(args: argparse.Namespace) -> int:
+    from .interpolation import s_t
+
     _print_element(s_t(args.word), args.json)
     return 0
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
+    from .zeta import EvalConfig, mzv, mzv_star
+
     idx = _parse_index(args.index)
     cfg = EvalConfig(args.cutoff)
     value = mzv_star(idx, cfg) if args.command == "zeta-star" else mzv(idx, cfg)
@@ -170,6 +192,9 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta_t(args: argparse.Namespace) -> int:
+    from .words import word_of_index
+    from .zeta import EvalConfig, z_t_eval, zeta_t_boxes
+
     idx = _parse_index(args.index)
     t0 = _parse_t_float(args.t)
     cfg = EvalConfig(args.cutoff, t0)
@@ -184,6 +209,8 @@ _PARAM_FLAGS = {"left": "--left", "right": "--right", "t0": "--t", "cutoff": "--
 
 
 def _single_check(args: argparse.Namespace) -> VerifyReport:
+    from .sweeps import STATEMENTS
+
     params = _parse_params(args.params) if args.params else {}
     name = args.statement
     statement = STATEMENTS.get(name)
@@ -227,9 +254,9 @@ def _print_reports(reports: list[VerifyReport]) -> None:
     print(json.dumps([report.to_json_obj() for report in reports], sort_keys=True))
 
 
-def _at_least(flag: str, value: int, least: int) -> None:
-    """Refuse a size flag that would leave nothing to check."""
-    if value < least:
+def _at_least(flag: str, value: int | None, least: int) -> None:
+    """Refuse a size flag, when given, that would leave nothing to check."""
+    if value is not None and value < least:
         raise UsageError(f"{flag} must be at least {least}, got {value}")
 
 
@@ -247,22 +274,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(json.dumps(report.witness, sort_keys=True))
         return 0 if report.passed else 1
 
+    from . import sweeps
+
     if args.statement == "all":
-        names = list(STATEMENTS)
-    elif args.statement in STATEMENTS:
+        names = list(sweeps.STATEMENTS)
+    elif args.statement in sweeps.STATEMENTS:
         names = [args.statement]
     else:
         raise UsageError(
-            f"unknown statement {args.statement!r}; choose from: all, " + ", ".join(STATEMENTS)
+            f"unknown statement {args.statement!r}; choose from: all, " + ", ".join(sweeps.STATEMENTS)
         )
     if args.cutoff is not None:
+        from .zeta import EvalConfig
+
         EvalConfig(args.cutoff)  # refuses a cutoff out of range before any sweep runs
+    # only the knobs given: SweepArgs owns the defaults of the rest
+    given = {"max_size": args.max, "cutoff": args.cutoff, "seed": args.seed, "cases": args.cases}
+    knobs = {key: value for key, value in given.items() if value is not None}
     reports: list[VerifyReport] = []
     for name in names:
         started = time.perf_counter()
-        batch = run_statement(
-            name, max_size=args.max, cutoff=args.cutoff, seed=args.seed, cases=args.cases
-        )
+        batch = sweeps.run_statement(name, **knobs)
         reports += batch
         if not args.json:
             elapsed = time.perf_counter() - started
@@ -289,6 +321,8 @@ _SCALAR = {
 def _cmd_scalar(args: argparse.Namespace) -> int:
     name, least, line = _SCALAR[args.command]
     _at_least("--max", args.max, least)
+    from .sweeps import STATEMENTS
+
     reports = [STATEMENTS[name].check(value) for value in range(least, args.max + 1, least)]
     if args.json:
         _print_reports(reports)
@@ -337,10 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("statement", help="statement name or 'all'")
-    p_verify.add_argument("--max", type=_int_flag, default=SweepArgs.max_size, help="size knob for exact sweeps")
+    p_verify.add_argument("--max", type=_int_flag, help="size knob for exact sweeps")
     p_verify.add_argument("--cutoff", type=_int_flag, help="cutoff override for numeric sweeps")
-    p_verify.add_argument("--seed", type=_int_flag, default=SweepArgs.seed, help="seed for the property suites")
-    p_verify.add_argument("--cases", type=_int_flag, default=SweepArgs.cases, help="cases per property suite")
+    p_verify.add_argument("--seed", type=_int_flag, help="seed for the property suites")
+    p_verify.add_argument("--cases", type=_int_flag, help="cases per property suite")
     p_verify.add_argument("--params", help='single instance, e.g. "m=2,u=2,p=1,n=1,v=0"')
     p_verify.add_argument("--left", help="left index for pivot/combinatorial/t0-reduction")
     p_verify.add_argument("--right", help="right index for pivot/combinatorial/t0-reduction")

@@ -160,15 +160,21 @@ class TestVerify:
 
 
 class TestSweepDefaults:
-    """``SweepArgs`` holds the one set of sweep defaults: the verify flags and
-    ``run_statement`` read them, and restate none."""
+    """``SweepArgs`` holds the one set of sweep defaults: the verify flags
+    restate none, and ``run_statement`` reads them."""
 
-    def test_verify_flags_default_to_sweep_args(self):
+    def test_verify_flags_default_to_sweep_args(self, monkeypatch):
+        # a flag left out reaches run_statement as no knob at all, so each
+        # sweep runs at the SweepArgs default; a flag given passes through
+        import tmzv.sweeps as sweeps
+
         args = _build_parser().parse_args(["verify", "all"])
-        want = SweepArgs()
-        assert (args.max, args.cutoff, args.seed, args.cases) == (
-            want.max_size, want.cutoff, want.seed, want.cases
-        )
+        assert (args.max, args.cutoff, args.seed, args.cases) == (None,) * 4
+        calls = []
+        monkeypatch.setattr(sweeps, "run_statement", lambda name, **knobs: calls.append(knobs) or [])
+        assert main(["verify", "gaussian"]) == 0
+        assert main(["verify", "gaussian", "--max", "2", "--cases", "5"]) == 0
+        assert calls == [{}, {"max_size": 2, "cases": 5}]
 
     def test_run_statement_defaults_are_sweep_args(self):
         want = SweepArgs()
@@ -496,6 +502,82 @@ class TestLazyNumpy:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
+
+    # Each command imports only the modules it runs. A child interpreter runs
+    # one command and prints the modules loaded since before tmzv's import.
+    @staticmethod
+    def loaded(*argv: str) -> set[str]:
+        script = (
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from tmzv.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, *set(sys.modules) - before)\n"
+        )
+        src = str(Path(tmzv.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        code, *modules = done.stdout.split()
+        assert code == "0"
+        return set(modules)
+
+    @pytest.mark.parametrize(
+        "argv, package",
+        [
+            (["--help"], set()),
+            (["product", "--left", "2,1", "--right", "3", "--t", "1/2"], {"exact", "words", "products"}),
+            (["st", "--word", "xyy"], {"exact", "words", "interpolation"}),
+        ],
+    )
+    def test_exact_commands_load_only_their_modules(self, argv, package):
+        loaded = self.loaded(*argv)
+        assert {name for name in loaded if name.split(".")[0] == "tmzv"} == {
+            "tmzv", "tmzv.cli", "tmzv.errors", *(f"tmzv.{name}" for name in package)
+        }
+        assert not loaded & {"dataclasses", "numpy"}
+
+    def test_zeta_loads_numpy_and_verify_the_sweeps(self):
+        loaded = self.loaded("zeta", "--index", "2", "--cutoff", "10")
+        assert {"tmzv.zeta", "numpy"} <= loaded
+        assert not loaded & {"tmzv.sweeps", "tmzv.identities"}
+        assert "tmzv.sweeps" in self.loaded("verify", "recursive", "--params", "m=2,u=2,p=1,n=1,v=0")
+
+
+class TestFailureReports:
+    """The text a failing verify prints, as a sweep and as a single check,
+    with one registry entry patched to fail at l = 2: the command reads the
+    registry of ``tmzv.sweeps`` when it runs, so the patch reaches it."""
+
+    WITNESS = {"lhs": "0", "rhs": "1"}
+
+    @pytest.fixture(autouse=True)
+    def failing_gaussian(self, monkeypatch):
+        import dataclasses
+
+        import tmzv.sweeps as sweeps
+        from tmzv.identities import VerifyReport
+
+        def check(l):
+            return VerifyReport("gaussian", {"l": l}, l != 2, self.WITNESS if l == 2 else {})
+
+        entry = dataclasses.replace(sweeps.STATEMENTS["gaussian"], check=check)
+        monkeypatch.setitem(sweeps.STATEMENTS, "gaussian", entry)
+
+    def test_a_sweep_prints_its_first_failure_and_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "gaussian")
+        lines = out.splitlines()
+        assert code == 1 and err == ""
+        assert lines[0].endswith("] gaussian: 2/3 pass")
+        assert lines[1:] == ["FIRST FAILURE gaussian {'l': 2}:", json.dumps(self.WITNESS)]
+
+    def test_a_single_check_prints_fail_and_its_witness_and_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "gaussian", "--params", "l=2")
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["gaussian {'l': 2}: FAIL", json.dumps(self.WITNESS)]
 
 
 class TestOutOfMemory:
